@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "isa/instruction.hpp"
+#include "isa/semantics.hpp"
 
 namespace rse::analysis {
 namespace {
@@ -47,10 +48,10 @@ void check_direct_targets(const isa::Program& p, const ControlFlowGraph& cfg,
     std::optional<Addr> target;
     switch (term.op_class()) {
       case isa::OpClass::kBranch:
-        target = pc + 4 + (static_cast<Word>(term.imm) << 2);
+        target = isa::branch_target(pc, term);
         break;
       case isa::OpClass::kJump:
-        if (term.op == isa::Op::kJ || term.op == isa::Op::kJal) target = term.target << 2;
+        if (term.op == isa::Op::kJ || term.op == isa::Op::kJal) target = isa::jump_target(term);
         break;
       default:
         break;

@@ -4,18 +4,14 @@
 #include <deque>
 #include <map>
 
+#include "isa/semantics.hpp"
+
 namespace rse::analysis {
 namespace {
 
 bool in_text(const isa::Program& p, Addr addr) {
   return addr >= p.text_base && addr < p.text_end() && (addr & 3u) == 0;
 }
-
-Addr branch_target(Addr pc, const isa::Instr& instr) {
-  return pc + 4 + (static_cast<Word>(instr.imm) << 2);
-}
-
-Addr jump_target(const isa::Instr& instr) { return instr.target << 2; }
 
 /// Text addresses materialized as constants: the assembler's `la`/wide-`li`
 /// expansion is always an adjacent `lui rt, hi; ori rt, rt, lo` pair, and
@@ -86,13 +82,13 @@ ControlFlowGraph build_cfg(const isa::Program& program) {
     if (pc + 4 < cfg.text_end) leaders.insert(pc + 4);
     switch (instr.op_class()) {
       case isa::OpClass::kBranch: {
-        const Addr t = branch_target(pc, instr);
+        const Addr t = isa::branch_target(pc, instr);
         if (in_text(program, t)) leaders.insert(t);
         break;
       }
       case isa::OpClass::kJump:
         if (instr.op == isa::Op::kJ || instr.op == isa::Op::kJal) {
-          const Addr t = jump_target(instr);
+          const Addr t = isa::jump_target(instr);
           if (in_text(program, t)) leaders.insert(t);
         }
         break;
@@ -121,7 +117,7 @@ ControlFlowGraph build_cfg(const isa::Program& program) {
     const isa::Instr& instr = decoded[i];
     if (instr.op != isa::Op::kJal) continue;
     const Addr pc = cfg.text_base + static_cast<Addr>(i * 4);
-    cfg.calls.push_back({pc, jump_target(instr), pc + 4});
+    cfg.calls.push_back({pc, isa::jump_target(instr), pc + 4});
   }
 
   // Function-entry candidates for return-edge inference: direct callees,
@@ -147,15 +143,15 @@ ControlFlowGraph build_cfg(const isa::Program& program) {
       case isa::OpClass::kBranch:
         block.exit = BlockExit::kBranch;
         block.successors.push_back(fallthrough);
-        block.successors.push_back(branch_target(block.terminator_pc(), term));
+        block.successors.push_back(isa::branch_target(block.terminator_pc(), term));
         break;
       case isa::OpClass::kJump:
         if (term.op == isa::Op::kJ) {
           block.exit = BlockExit::kJump;
-          block.successors.push_back(jump_target(term));
+          block.successors.push_back(isa::jump_target(term));
         } else if (term.op == isa::Op::kJal) {
           block.exit = BlockExit::kCall;
-          block.successors.push_back(jump_target(term));
+          block.successors.push_back(isa::jump_target(term));
         } else if (term.op == isa::Op::kJr && term.rs == isa::kRa) {
           block.exit = BlockExit::kReturn;
           // The containing function is the nearest preceding entry candidate;

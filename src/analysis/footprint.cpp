@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 
+#include "isa/semantics.hpp"
 #include "mem/main_memory.hpp"
 
 namespace rse::analysis {
@@ -539,32 +540,6 @@ bool infeasible(const State& s) {
     if (v.kind != Kind::kUnknown && v.lo > v.hi) return true;
   }
   return false;
-}
-
-u32 access_size(isa::Op op) {
-  using isa::Op;
-  switch (op) {
-    case Op::kLw:
-    case Op::kSw:
-      return 4;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    default:
-      return 1;
-  }
-}
-
-bool is_load(isa::Op op) {
-  using isa::Op;
-  return op == Op::kLw || op == Op::kLh || op == Op::kLhu || op == Op::kLb ||
-         op == Op::kLbu;
-}
-
-bool is_store(isa::Op op) {
-  using isa::Op;
-  return op == Op::kSw || op == Op::kSh || op == Op::kSb;
 }
 
 void add_page_range(std::set<u32>& pages, Addr lo, Addr hi) {
@@ -1167,8 +1142,7 @@ struct FixpointPass {
         break;
       }
       case BlockExit::kBranch: {
-        const Addr target =
-            block.terminator_pc() + 4 + (static_cast<Addr>(term.imm) << 2);
+        const Addr target = isa::branch_target(block.terminator_pc(), term);
         const Addr fall = block.end;
         for (Addr succ : block.successors) {
           State edge = out;
@@ -1331,13 +1305,13 @@ Summary summarize_function(const isa::Program& program,
     State s = pass.in_state[0][block.index];
     for (Addr pc = block.start; pc < block.end; pc += 4) {
       const isa::Instr in = isa::decode(program.text_word(pc));
-      if (is_load(in.op) || is_store(in.op)) {
-        const SiteRange r = classify_site(s[in.rs], in.imm, access_size(in.op));
+      if (const u32 size = isa::access_size(in.op); size != 0) {
+        const SiteRange r = classify_site(s[in.rs], in.imm, size);
         switch (r.base) {
           case AddressBase::kAbsolute:
             add_page_range_strided(sum.pages, static_cast<Addr>(r.lo),
                                    static_cast<Addr>(r.hi), r.stride, r.size);
-            if (is_store(in.op)) {
+            if (in.op_class() == isa::OpClass::kStore) {
               add_page_range_strided(sum.store_pages, static_cast<Addr>(r.lo),
                                      static_cast<Addr>(r.hi), r.stride, r.size);
             }
@@ -1739,9 +1713,8 @@ PageFootprint compute_footprint(const isa::Program& program,
     if (states.empty()) continue;
     for (Addr pc = block.start; pc < block.end; pc += 4) {
       const isa::Instr in = isa::decode(program.text_word(pc));
-      const bool load = is_load(in.op);
-      const bool store = is_store(in.op);
-      if (load || store) {
+      if (const u32 size = isa::access_size(in.op); size != 0) {
+        const bool store = in.op_class() == isa::OpClass::kStore;
         AccessSite site;
         site.pc = pc;
         site.is_store = store;
@@ -1749,8 +1722,7 @@ PageFootprint compute_footprint(const isa::Program& program,
         ranges.reserve(states.size());
         bool any_unknown = false;
         for (const State& s : states) {
-          const SiteRange r =
-              classify_site(s[in.rs], in.imm, access_size(in.op));
+          const SiteRange r = classify_site(s[in.rs], in.imm, size);
           if (r.base == AddressBase::kUnknown) any_unknown = true;
           ranges.push_back(r);
         }

@@ -80,6 +80,7 @@ std::string GoldenCache::key_of(const WorkloadSetup& setup, bool fast) {
       << setup.os.seed << '|' << setup.os.run_limit << '|' << setup.os.static_cfc << '|'
       << setup.os.static_ddt << '|' << setup.os.footprint_summaries << '|'
       << setup.os.context_depth << '|' << setup.os.field_sensitive << '|'
+      << setup.os.field_sp_depth << '|'
       // Layout randomization moves every stack/heap/shlib address, so a
       // randomized golden (or one under a different MLR seed — DME variants)
       // must never alias an unrandomized one.

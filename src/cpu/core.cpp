@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "common/bits.hpp"
+#include "isa/semantics.hpp"
 
 namespace rse::cpu {
 
@@ -105,133 +105,44 @@ Word Core::read_mem_through_stores(Addr addr, u32 size, u32 upto_offset) const {
   return value;
 }
 
-void Core::write_reg_with_undo(RuuEntry& entry, u8 reg, Word value) {
-  if (reg == 0) return;
-  entry.has_dest = true;
-  entry.dest_reg = reg;
-  entry.old_dest_value = regs_[reg];
-  regs_[reg] = value;
-  entry.result = value;
-}
-
 void Core::exec_functional(RuuEntry& e, const FetchedInstr& f) {
-  const Instr& in = e.instr;
-  const Addr pc = e.pc;
-  Addr next_pc = pc + 4;
-  const Word rs = regs_[in.rs];
-  const Word rt = regs_[in.rt];
-  const u32 uimm = static_cast<u32>(in.imm) & 0xFFFFu;
-
-  switch (in.op) {
-    case Op::kSll: write_reg_with_undo(e, in.rd, rt << in.shamt); break;
-    case Op::kSrl: write_reg_with_undo(e, in.rd, rt >> in.shamt); break;
-    case Op::kSra:
-      write_reg_with_undo(e, in.rd, static_cast<Word>(static_cast<i32>(rt) >> in.shamt));
-      break;
-    case Op::kSllv: write_reg_with_undo(e, in.rd, rt << (rs & 31)); break;
-    case Op::kSrlv: write_reg_with_undo(e, in.rd, rt >> (rs & 31)); break;
-    case Op::kSrav:
-      write_reg_with_undo(e, in.rd, static_cast<Word>(static_cast<i32>(rt) >> (rs & 31)));
-      break;
-    case Op::kAdd: write_reg_with_undo(e, in.rd, rs + rt); break;
-    case Op::kSub: write_reg_with_undo(e, in.rd, rs - rt); break;
-    case Op::kAnd: write_reg_with_undo(e, in.rd, rs & rt); break;
-    case Op::kOr: write_reg_with_undo(e, in.rd, rs | rt); break;
-    case Op::kXor: write_reg_with_undo(e, in.rd, rs ^ rt); break;
-    case Op::kNor: write_reg_with_undo(e, in.rd, ~(rs | rt)); break;
-    case Op::kSlt:
-      write_reg_with_undo(e, in.rd, static_cast<i32>(rs) < static_cast<i32>(rt) ? 1 : 0);
-      break;
-    case Op::kSltu: write_reg_with_undo(e, in.rd, rs < rt ? 1 : 0); break;
-    case Op::kMul: write_reg_with_undo(e, in.rd, rs * rt); break;
-    case Op::kMulh:
-      write_reg_with_undo(
-          e, in.rd,
-          static_cast<Word>((static_cast<i64>(static_cast<i32>(rs)) *
-                             static_cast<i64>(static_cast<i32>(rt))) >>
-                            32));
-      break;
-    case Op::kDiv:
-      write_reg_with_undo(e, in.rd,
-                          rt == 0 ? 0
-                                  : static_cast<Word>(static_cast<i32>(rs) /
-                                                      static_cast<i32>(rt)));
-      break;
-    case Op::kRem:
-      write_reg_with_undo(e, in.rd,
-                          rt == 0 ? 0
-                                  : static_cast<Word>(static_cast<i32>(rs) %
-                                                      static_cast<i32>(rt)));
-      break;
-    case Op::kAddi: write_reg_with_undo(e, in.rt, rs + static_cast<Word>(in.imm)); break;
-    case Op::kAndi: write_reg_with_undo(e, in.rt, rs & uimm); break;
-    case Op::kOri: write_reg_with_undo(e, in.rt, rs | uimm); break;
-    case Op::kXori: write_reg_with_undo(e, in.rt, rs ^ uimm); break;
-    case Op::kSlti:
-      write_reg_with_undo(e, in.rt, static_cast<i32>(rs) < in.imm ? 1 : 0);
-      break;
-    case Op::kSltiu:
-      write_reg_with_undo(e, in.rt, rs < static_cast<Word>(in.imm) ? 1 : 0);
-      break;
-    case Op::kLui: write_reg_with_undo(e, in.rt, uimm << 16); break;
-    case Op::kLw:
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kLb:
-    case Op::kLbu: {
-      const u32 size = (in.op == Op::kLw) ? 4 : (in.op == Op::kLb || in.op == Op::kLbu) ? 1 : 2;
-      // Misaligned accesses are truncated to alignment (documented model
-      // simplification; guest code keeps data aligned).
-      const Addr addr = (rs + static_cast<Word>(in.imm)) & ~(size - 1);
-      e.eff_addr = addr;
+  // isa::execute's view of the core at dispatch: register writes keep an
+  // undo record for CHECK-error flushes, loads read through the older
+  // in-flight stores, and stores only fill the RUU entry (memory is written
+  // at commit).
+  struct Adapter {
+    Core& core;
+    RuuEntry& e;
+    Word reg(u8 r) const { return core.regs_[r]; }
+    void write(u8 r, Word value) {
+      e.has_dest = true;
+      e.dest_reg = r;
+      e.old_dest_value = core.regs_[r];
+      core.regs_[r] = value;
+      e.result = value;
+    }
+    Word load(Addr ea, u32 size) {
+      e.eff_addr = ea;
       e.mem_size = static_cast<u8>(size);
       e.is_mem = true;
-      Word raw = read_mem_through_stores(addr, size, ruu_count_);
-      Word value = raw;
-      if (in.op == Op::kLb) value = static_cast<Word>(sign_extend(raw & 0xFF, 8));
-      if (in.op == Op::kLh) value = static_cast<Word>(sign_extend(raw & 0xFFFF, 16));
-      e.mem_value = value;
-      write_reg_with_undo(e, in.rt, value);
-      break;
+      return core.read_mem_through_stores(ea, size, core.ruu_count_);
     }
-    case Op::kSw:
-    case Op::kSh:
-    case Op::kSb: {
-      const u32 size = in.op == Op::kSw ? 4 : in.op == Op::kSh ? 2 : 1;
-      const Addr addr = (rs + static_cast<Word>(in.imm)) & ~(size - 1);
-      e.eff_addr = addr;
+    void loaded(Word value) { e.mem_value = value; }
+    void store(Addr ea, u32 size, Word value) {
+      e.eff_addr = ea;
       e.mem_size = static_cast<u8>(size);
-      e.mem_value = rt;
+      e.mem_value = value;
       e.is_mem = true;
       e.is_store = true;
-      break;
     }
-    case Op::kBeq: e.taken = rs == rt; break;
-    case Op::kBne: e.taken = rs != rt; break;
-    case Op::kBlt: e.taken = static_cast<i32>(rs) < static_cast<i32>(rt); break;
-    case Op::kBge: e.taken = static_cast<i32>(rs) >= static_cast<i32>(rt); break;
-    case Op::kBltu: e.taken = rs < rt; break;
-    case Op::kBgeu: e.taken = rs >= rt; break;
-    case Op::kJ: next_pc = in.target << 2; break;
-    case Op::kJal:
-      write_reg_with_undo(e, isa::kRa, pc + 4);
-      next_pc = in.target << 2;
-      break;
-    case Op::kJr: next_pc = rs; break;
-    case Op::kJalr:
-      write_reg_with_undo(e, in.rd, pc + 4);
-      next_pc = rs;
-      break;
-    case Op::kChk:
-    case Op::kSyscall:
-    case Op::kInvalid:
-      break;  // no functional effect at dispatch
-  }
+    void chk() {}  // a CHK's work happens at commit
+  };
 
-  if (e.instr.op_class() == OpClass::kBranch) {
-    next_pc = e.taken ? pc + 4 + (static_cast<Word>(e.instr.imm) << 2) : pc + 4;
-  }
-  if (branch_fault_ && e.instr.is_control()) next_pc = branch_fault_(pc, next_pc);
+  Adapter adapter{*this, e};
+  const isa::Step step = isa::execute(e.instr, e.pc, adapter);
+  e.taken = step.taken;
+  Addr next_pc = step.next;
+  if (branch_fault_ && e.instr.is_control()) next_pc = branch_fault_(e.pc, next_pc);
   e.recover_pc = next_pc;
   e.mispredicted = next_pc != f.predicted_next;
   pc_ = next_pc;
@@ -239,7 +150,7 @@ void Core::exec_functional(RuuEntry& e, const FetchedInstr& f) {
   // Syscalls/traps have their architectural effect at commit, not here; every
   // other instruction (CHK included) has now executed functionally, advancing
   // the position the fast-forward controller aligns against.
-  if (in.op != Op::kSyscall && in.op != Op::kInvalid) ++functional_pos_;
+  if (step.trap == isa::Trap::kNone) ++functional_pos_;
 }
 
 // ------------------------------------------------------------------- commit
@@ -659,14 +570,13 @@ void Core::stage_fetch(Cycle now) {
     switch (f.instr.op_class()) {
       case OpClass::kBranch: {
         f.predicted_taken = predictor_.predict_taken(f.pc);
-        const Addr target = f.pc + 4 + (static_cast<Word>(f.instr.imm) << 2);
-        f.predicted_next = f.predicted_taken ? target : f.pc + 4;
+        f.predicted_next = f.predicted_taken ? isa::branch_target(f.pc, f.instr) : f.pc + 4;
         stop = f.predicted_taken;
         break;
       }
       case OpClass::kJump: {
         if (f.instr.op == Op::kJ || f.instr.op == Op::kJal) {
-          f.predicted_next = f.instr.target << 2;
+          f.predicted_next = isa::jump_target(f.instr);
           if (f.instr.op == Op::kJal) predictor_.ras_push(f.pc + 4);
         } else {
           if (f.instr.op == Op::kJalr) predictor_.ras_push(f.pc + 4);

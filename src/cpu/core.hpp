@@ -289,7 +289,6 @@ class Core {
 
   void exec_functional(RuuEntry& entry, const FetchedInstr& fetched);
   Word read_mem_through_stores(Addr addr, u32 size, u32 upto_offset) const;
-  void write_reg_with_undo(RuuEntry& entry, u8 reg, Word value);
   void squash_younger_than(u32 offset, Cycle now);
   void flush_all(Cycle now, Addr refetch_pc);
   bool entry_ready(const RuuEntry& entry) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "isa/semantics.hpp"
+
 namespace rse::exec {
 
 const DecodedBlock* BlockCache::lookup(Addr pc) {
@@ -45,7 +47,7 @@ const DecodedBlock* BlockCache::lookup(Addr pc) {
     // Chain only across statically-known single-successor transfers; a
     // conditional branch or register-indirect jump ends the superblock.
     if (in.op != isa::Op::kJ && in.op != isa::Op::kJal) break;
-    const Addr target = in.target << 2;
+    const Addr target = isa::jump_target(in);
     if (!in_text(target)) break;
     block.chained = true;
     at = target;

@@ -2,13 +2,38 @@
 
 #include <cstring>
 
-#include "common/bits.hpp"
+#include "isa/semantics.hpp"
 
 namespace rse::exec {
 
 using isa::Op;
 
 FastEngine::Stop FastEngine::run_until(u64 target) {
+  // isa::execute's view of the fast engine: registers in place, memory
+  // through the direct-memory TLB.  A store landing in the text segment
+  // drops overlapping cached blocks — possibly the one being executed — so
+  // it flags the inner loop to end before touching `block` again.
+  struct Adapter {
+    FastEngine& self;
+    bool invalidated = false;
+    Word reg(u8 r) const { return self.regs_[r]; }
+    void write(u8 r, Word value) { self.regs_[r] = value; }
+    Word load(Addr ea, u32 size) {
+      Word value = 0;
+      std::memcpy(&value, self.data_host(ea), size);
+      return value;
+    }
+    void loaded(Word) {}
+    void store(Addr ea, u32 size, Word value) {
+      std::memcpy(self.data_host(ea), &value, size);
+      if (ea < self.text_hi_ && ea + size > self.text_lo_) {
+        self.cache_->invalidate(ea, size);
+        invalidated = true;
+      }
+    }
+    void chk() { ++self.chks_executed_; }
+  };
+
   // Threaded dispatch (chaining mode): block transitions stay inside the
   // engine.  A back-edge to the current block's own start re-enters it
   // directly, and each block carries an epoch-stamped link to its last
@@ -27,10 +52,7 @@ FastEngine::Stop FastEngine::run_until(u64 target) {
 
     Addr pc = block->start;
     std::size_t i = 0;
-    // A store landing in the text segment drops overlapping cached blocks
-    // — including possibly the one being executed — so the inner loop must
-    // end before touching `block` again.
-    bool invalidated = false;
+    Adapter adapter{*this};
     for (;;) {
       if (executed_ == target) {
         pc_ = pc;
@@ -38,131 +60,17 @@ FastEngine::Stop FastEngine::run_until(u64 target) {
       }
       const isa::Instr in = block->instrs[i];
       if (trace_ && in.op != Op::kSyscall && in.op != Op::kInvalid) trace_instr(pc, in);
-      Addr next = pc + 4;
-      const Word rs = regs_[in.rs];
-      const Word rt = regs_[in.rt];
-      const u32 uimm = static_cast<u32>(in.imm) & 0xFFFFu;
-      auto wr = [this](u8 reg, Word value) {
-        if (reg != 0) regs_[reg] = value;
-      };
-      auto store = [&](Addr addr, u32 size, Word value) {
-        std::memcpy(data_host(addr), &value, size);
-        if (addr < text_hi_ && addr + size > text_lo_) {
-          cache_->invalidate(addr, size);
-          invalidated = true;
-        }
-      };
-
-      switch (in.op) {
-        case Op::kInvalid:
-          pc_ = pc;
-          return Stop::kIllegal;
-        case Op::kSyscall:
-          pc_ = pc;
-          return Stop::kSyscall;
-        case Op::kSll: wr(in.rd, rt << in.shamt); break;
-        case Op::kSrl: wr(in.rd, rt >> in.shamt); break;
-        case Op::kSra: wr(in.rd, static_cast<Word>(static_cast<i32>(rt) >> in.shamt)); break;
-        case Op::kSllv: wr(in.rd, rt << (rs & 31)); break;
-        case Op::kSrlv: wr(in.rd, rt >> (rs & 31)); break;
-        case Op::kSrav: wr(in.rd, static_cast<Word>(static_cast<i32>(rt) >> (rs & 31))); break;
-        case Op::kAdd: wr(in.rd, rs + rt); break;
-        case Op::kSub: wr(in.rd, rs - rt); break;
-        case Op::kAnd: wr(in.rd, rs & rt); break;
-        case Op::kOr: wr(in.rd, rs | rt); break;
-        case Op::kXor: wr(in.rd, rs ^ rt); break;
-        case Op::kNor: wr(in.rd, ~(rs | rt)); break;
-        case Op::kSlt: wr(in.rd, static_cast<i32>(rs) < static_cast<i32>(rt) ? 1 : 0); break;
-        case Op::kSltu: wr(in.rd, rs < rt ? 1 : 0); break;
-        case Op::kMul: wr(in.rd, rs * rt); break;
-        case Op::kMulh:
-          wr(in.rd, static_cast<Word>((static_cast<i64>(static_cast<i32>(rs)) *
-                                       static_cast<i64>(static_cast<i32>(rt))) >>
-                                      32));
-          break;
-        case Op::kDiv:
-          wr(in.rd,
-             rt == 0 ? 0 : static_cast<Word>(static_cast<i32>(rs) / static_cast<i32>(rt)));
-          break;
-        case Op::kRem:
-          wr(in.rd,
-             rt == 0 ? 0 : static_cast<Word>(static_cast<i32>(rs) % static_cast<i32>(rt)));
-          break;
-        case Op::kAddi: wr(in.rt, rs + static_cast<Word>(in.imm)); break;
-        case Op::kAndi: wr(in.rt, rs & uimm); break;
-        case Op::kOri: wr(in.rt, rs | uimm); break;
-        case Op::kXori: wr(in.rt, rs ^ uimm); break;
-        case Op::kSlti: wr(in.rt, static_cast<i32>(rs) < in.imm ? 1 : 0); break;
-        case Op::kSltiu: wr(in.rt, rs < static_cast<Word>(in.imm) ? 1 : 0); break;
-        case Op::kLui: wr(in.rt, uimm << 16); break;
-        case Op::kLw: {
-          u32 v;
-          std::memcpy(&v, data_host((rs + static_cast<Word>(in.imm)) & ~3u), 4);
-          wr(in.rt, v);
-          break;
-        }
-        case Op::kLh: {
-          u16 v;
-          std::memcpy(&v, data_host((rs + static_cast<Word>(in.imm)) & ~1u), 2);
-          wr(in.rt, static_cast<Word>(sign_extend(v, 16)));
-          break;
-        }
-        case Op::kLhu: {
-          u16 v;
-          std::memcpy(&v, data_host((rs + static_cast<Word>(in.imm)) & ~1u), 2);
-          wr(in.rt, v);
-          break;
-        }
-        case Op::kLb:
-          wr(in.rt, static_cast<Word>(
-                        sign_extend(*data_host(rs + static_cast<Word>(in.imm)), 8)));
-          break;
-        case Op::kLbu: wr(in.rt, *data_host(rs + static_cast<Word>(in.imm))); break;
-        case Op::kSw: store((rs + static_cast<Word>(in.imm)) & ~3u, 4, rt); break;
-        case Op::kSh: store((rs + static_cast<Word>(in.imm)) & ~1u, 2, rt & 0xFFFFu); break;
-        case Op::kSb: store(rs + static_cast<Word>(in.imm), 1, rt & 0xFFu); break;
-        case Op::kBeq:
-          if (rs == rt) next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          break;
-        case Op::kBne:
-          if (rs != rt) next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          break;
-        case Op::kBlt:
-          if (static_cast<i32>(rs) < static_cast<i32>(rt)) {
-            next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          }
-          break;
-        case Op::kBge:
-          if (static_cast<i32>(rs) >= static_cast<i32>(rt)) {
-            next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          }
-          break;
-        case Op::kBltu:
-          if (rs < rt) next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          break;
-        case Op::kBgeu:
-          if (rs >= rt) next = pc + 4 + (static_cast<Word>(in.imm) << 2);
-          break;
-        case Op::kJ: next = in.target << 2; break;
-        case Op::kJal:
-          wr(isa::kRa, pc + 4);
-          next = in.target << 2;
-          break;
-        case Op::kJr: next = rs; break;
-        case Op::kJalr:
-          wr(in.rd, pc + 4);
-          next = rs;
-          break;
-        case Op::kChk:
-          ++chks_executed_;
-          break;  // architectural NOP, same as the golden model
+      const isa::Step step = isa::execute(in, pc, adapter);
+      if (step.trap != isa::Trap::kNone) {
+        pc_ = pc;
+        return step.trap == isa::Trap::kSyscall ? Stop::kSyscall : Stop::kIllegal;
       }
 
       ++executed_;
       regs_[0] = 0;
-      if (invalidated) {
+      if (adapter.invalidated) {
         // `block` may be gone; re-enter via the cache.
-        pc_ = next;
+        pc_ = step.next;
         break;
       }
       ++i;
@@ -173,15 +81,15 @@ FastEngine::Stop FastEngine::run_until(u64 target) {
       // neighbor or a followed j/jal target (block->pcs[i] == next by
       // construction; the differential suites pin this).
       if (i < count) {
-        pc = next;
+        pc = step.next;
         continue;
       }
-      pc_ = next;
+      pc_ = step.next;
       break;
     }
 
     // Block transition.  pc_ holds the next leader.
-    if (invalidated || !threaded) {
+    if (adapter.invalidated || !threaded) {
       block = nullptr;  // re-enter via the cache (and re-check the range)
       continue;
     }
@@ -217,55 +125,20 @@ void FastEngine::trace_instr(Addr pc, const isa::Instr& in) {
   // post), and the unmasked rt for stores.
   Word raw;
   std::memcpy(&raw, data_host(pc), 4);
-  const Word rs = regs_[in.rs];
-  const Word rt = regs_[in.rt];
-  bool is_mem = false;
-  bool is_store = false;
+  const u32 size = isa::access_size(in.op);
+  const bool is_store = in.op_class() == isa::OpClass::kStore;
   Addr ea = 0;
   Word value = 0;
-  switch (in.op) {
-    case Op::kLw: {
-      is_mem = true;
-      ea = (rs + static_cast<Word>(in.imm)) & ~3u;
-      std::memcpy(&value, data_host(ea), 4);
-      break;
+  if (size != 0) {
+    ea = isa::effective_address(regs_[in.rs], in, size);
+    if (is_store) {
+      value = regs_[in.rt];
+    } else {
+      std::memcpy(&value, data_host(ea), size);
+      value = isa::load_extend(in.op, value);
     }
-    case Op::kLh:
-    case Op::kLhu: {
-      is_mem = true;
-      ea = (rs + static_cast<Word>(in.imm)) & ~1u;
-      u16 half;
-      std::memcpy(&half, data_host(ea), 2);
-      value = in.op == Op::kLh ? static_cast<Word>(sign_extend(half, 16)) : half;
-      break;
-    }
-    case Op::kLb:
-    case Op::kLbu: {
-      is_mem = true;
-      ea = rs + static_cast<Word>(in.imm);
-      const u8 byte = *data_host(ea);
-      value = in.op == Op::kLb ? static_cast<Word>(sign_extend(byte, 8)) : byte;
-      break;
-    }
-    case Op::kSw:
-      is_mem = is_store = true;
-      ea = (rs + static_cast<Word>(in.imm)) & ~3u;
-      value = rt;
-      break;
-    case Op::kSh:
-      is_mem = is_store = true;
-      ea = (rs + static_cast<Word>(in.imm)) & ~1u;
-      value = rt;
-      break;
-    case Op::kSb:
-      is_mem = is_store = true;
-      ea = rs + static_cast<Word>(in.imm);
-      value = rt;
-      break;
-    default:
-      break;
   }
-  trace_(pc, raw, is_mem, is_store, ea, value);
+  trace_(pc, raw, size != 0, is_store, ea, value);
 }
 
 }  // namespace rse::exec

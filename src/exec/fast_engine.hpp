@@ -4,12 +4,14 @@
 // the timed mem::Bus/cache hierarchy per access (the flat-RAM pattern of the
 // Hazard3 rvcpp core — see SNIPPETS.md).
 //
-// Semantics are bit-for-bit the isa::Interpreter's (the golden model): same
-// address masking, division-by-zero results, sign extension, r0 pinning, and
-// CHK-as-architectural-NOP.  The engine never executes syscalls or illegal
-// words — it stops ON them with the PC still pointing at the instruction, so
-// the caller (FastSession) can either delegate to the guest OS or bail into
-// the cycle-accurate core with consistent state.
+// Architectural semantics are isa::execute (isa/semantics.hpp), the one
+// definition the interpreter and the out-of-order core also instantiate;
+// tests/isa/semantics_test.cpp judges all of them against a hand-written
+// per-opcode table.  This engine adds only direct-memory access and text
+// invalidation.  It never executes syscalls or illegal words — it stops ON
+// them with the PC still pointing at the instruction, so the caller
+// (FastSession) can either delegate to the guest OS or bail into the
+// cycle-accurate core with consistent state.
 //
 // Stores into the text segment invalidate overlapping cached blocks and end
 // the current block, so self-modifying code re-decodes before its next

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/bits.hpp"
+#include "isa/semantics.hpp"
 
 namespace rse::isa {
 namespace {
@@ -515,7 +516,7 @@ std::string disassemble(const Instr& in) {
       break;
     case OpClass::kJump:
       if (in.op == Op::kJ || in.op == Op::kJal) {
-        os << " 0x" << std::hex << (in.target << 2);
+        os << " 0x" << std::hex << jump_target(in);
       } else if (in.op == Op::kJr) {
         os << " " << r(in.rs);
       } else {

@@ -1,7 +1,10 @@
-// A simple in-order functional interpreter for the guest ISA — the golden
-// model used to differential-test the out-of-order core: both must retire
-// the same architectural state for any program.  CHK instructions are
-// architectural NOPs here; syscalls are delegated to a host callback.
+// A simple in-order functional interpreter for the guest ISA — the reference
+// the pipeline differential suites compare the out-of-order core against:
+// both must retire the same architectural state for any program.  Its
+// semantics are isa::execute (isa/semantics.hpp), shared with the core and
+// the fast engine and judged by tests/isa/semantics_test.cpp.  CHK
+// instructions are architectural NOPs here; syscalls are delegated to a
+// host callback.
 #pragma once
 
 #include <array>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "isa/semantics.hpp"
+
 namespace rse::modules {
 
 bool CfcModule::transition_legal(const LastCommit& last, Addr to_pc) {
@@ -13,10 +15,10 @@ bool CfcModule::transition_legal(const LastCommit& last, Addr to_pc) {
     case isa::OpClass::kBranch:
       // Direct conditional branch: the only other legal successor is the
       // target encoded in the instruction itself.
-      return to_pc == last.pc + 4 + (static_cast<Word>(last.instr.imm) << 2);
+      return to_pc == isa::branch_target(last.pc, last.instr);
     case isa::OpClass::kJump:
       if (last.instr.op == isa::Op::kJ || last.instr.op == isa::Op::kJal) {
-        return to_pc == (last.instr.target << 2);
+        return to_pc == isa::jump_target(last.instr);
       }
       // Indirect jump: the target is data-dependent.  With a static
       // successor table installed for this PC the landing must be in the

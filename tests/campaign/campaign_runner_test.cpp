@@ -3,6 +3,9 @@
 // and single-run reproduction of a parallel campaign's results.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "campaign/runner.hpp"
 
 namespace rse::campaign {
@@ -162,6 +165,34 @@ TEST(GoldenCache, DistinctWorkloadsGetDistinctGoldenRuns) {
   EXPECT_EQ(loop->exit_code, 0);
   EXPECT_EQ(kmeans->exit_code, 0);
   EXPECT_FALSE(loop->output.empty());
+}
+
+// Every loader analysis knob changes what the golden run's load computes, so
+// each one must be part of the key: two setups differing in any single knob
+// never share a golden run.
+TEST(GoldenCache, EveryAnalysisKnobIsPartOfTheKey) {
+  GoldenCache cache;
+  const WorkloadSetup base = make_workload("loop");
+  (void)cache.get(base);
+  ASSERT_EQ(cache.misses(), 1u);
+
+  const std::vector<std::pair<const char*, void (*)(os::OsConfig&)>> flips = {
+      {"static_cfc", [](os::OsConfig& os) { os.static_cfc = !os.static_cfc; }},
+      {"static_ddt", [](os::OsConfig& os) { os.static_ddt = !os.static_ddt; }},
+      {"footprint_summaries",
+       [](os::OsConfig& os) { os.footprint_summaries = !os.footprint_summaries; }},
+      {"context_depth", [](os::OsConfig& os) { os.context_depth += 1; }},
+      {"field_sensitive", [](os::OsConfig& os) { os.field_sensitive = !os.field_sensitive; }},
+      {"field_sp_depth", [](os::OsConfig& os) { os.field_sp_depth += 1; }},
+  };
+  u64 misses = cache.misses();
+  for (const auto& [knob, flip] : flips) {
+    WorkloadSetup setup = base;
+    flip(setup.os);
+    (void)cache.get(setup);
+    EXPECT_EQ(cache.misses(), misses + 1) << knob << " aliased the base golden run";
+    misses = cache.misses();
+  }
 }
 
 }  // namespace

@@ -49,9 +49,11 @@
 //                           summary (for cross---jobs comparisons)
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "args.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/shard.hpp"
 #include "common/error.hpp"
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
   bool digest_only = false;
   bool merge_mode = false;
   std::vector<std::string> merge_paths;
-  long describe_index = -1;
+  std::optional<u32> describe_index;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -111,13 +113,13 @@ int main(int argc, char** argv) {
     if (arg == "--workload") {
       spec.workload = value();
     } else if (arg == "--runs") {
-      spec.runs = static_cast<u32>(std::stoul(value()));
+      spec.runs = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--seed") {
-      spec.seed = std::stoull(value());
+      spec.seed = tools::uint_arg<u64>(arg, value());
     } else if (arg == "--jobs") {
-      spec.jobs = static_cast<u32>(std::stoul(value()));
+      spec.jobs = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--hang-factor") {
-      spec.hang_factor = std::stod(value());
+      spec.hang_factor = tools::real_arg(arg, value(), 0.0, 1e6);
     } else if (arg == "--static-cfc") {
       spec.static_cfc = true;
     } else if (arg == "--static-ddt") {
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--flat-footprint") {
       spec.footprint_summaries = false;
     } else if (arg == "--context-depth") {
-      spec.context_depth = static_cast<u32>(std::stoul(value()));
+      spec.context_depth = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--field-sensitive") {
       spec.field_sensitive = true;
     } else if (arg == "--no-field-sensitive") {
@@ -135,47 +137,32 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot-fork") {
       spec.snapshot_fork = true;
     } else if (arg == "--snapshot-buckets") {
-      spec.snapshot_buckets = static_cast<u32>(std::stoul(value()));
+      spec.snapshot_buckets = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--dme") {
       spec.dme = true;
     } else if (arg == "--dme-seeds") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--dme-seeds expects A:B\n";
-        return usage();
-      }
+      const auto [a, b] = tools::split_arg(arg, value(), ':', "A:B");
       spec.dme = true;
-      spec.dme_seed_a = std::stoull(v.substr(0, colon));
-      spec.dme_seed_b = std::stoull(v.substr(colon + 1));
+      spec.dme_seed_a = tools::uint_arg<u64>(arg, a);
+      spec.dme_seed_b = tools::uint_arg<u64>(arg, b);
     } else if (arg == "--shard") {
-      const std::string v = value();
-      const auto slash = v.find('/');
-      if (slash == std::string::npos) {
-        std::cerr << "--shard expects I/N\n";
-        return usage();
-      }
-      spec.shard_index = static_cast<u32>(std::stoul(v.substr(0, slash)));
-      spec.shard_count = static_cast<u32>(std::stoul(v.substr(slash + 1)));
+      const auto [index, count] = tools::split_arg(arg, value(), '/', "I/N");
+      spec.shard_index = tools::uint_arg<u32>(arg, index);
+      spec.shard_count = tools::uint_arg<u32>(arg, count);
     } else if (arg == "--shard-out") {
       shard_out = value();
     } else if (arg == "--merge") {
       merge_mode = true;
     } else if (arg == "--window") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--window expects LO:HI fractions\n";
-        return usage();
-      }
-      spec.window_lo = std::stod(v.substr(0, colon));
-      spec.window_hi = std::stod(v.substr(colon + 1));
+      const auto [lo, hi] = tools::split_arg(arg, value(), ':', "LO:HI fractions");
+      spec.window_lo = tools::real_arg(arg, lo, 0.0, 1.0);
+      spec.window_hi = tools::real_arg(arg, hi, 0.0, 1.0);
     } else if (arg == "--ci-threshold") {
-      spec.ci_threshold = std::stod(value());
+      spec.ci_threshold = tools::real_arg(arg, value(), 0.0, 1.0);
     } else if (arg == "--ci-batch") {
-      spec.ci_batch = static_cast<u32>(std::stoul(value()));
+      spec.ci_batch = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--ci-max-runs") {
-      spec.ci_max_runs = static_cast<u32>(std::stoul(value()));
+      spec.ci_max_runs = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--targets") {
       if (!parse_targets(value(), &spec.targets)) {
         std::cerr << "bad --targets list\n";
@@ -186,7 +173,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = value();
     } else if (arg == "--describe") {
-      describe_index = std::stol(value());
+      describe_index = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--digest") {
       digest_only = true;
     } else if (merge_mode && arg.rfind("--", 0) != 0) {
@@ -203,11 +190,11 @@ int main(int argc, char** argv) {
   try {
     campaign::CampaignRunner runner;
 
-    if (describe_index >= 0) {
+    if (describe_index) {
       const campaign::WorkloadSetup setup = campaign::make_workload(spec.workload);
       const auto golden = runner.cache().get(setup);
       const campaign::InjectionPlan plan = runner.plan_for(spec, *golden, setup);
-      std::cout << campaign::describe(plan.record(static_cast<u32>(describe_index))) << "\n";
+      std::cout << campaign::describe(plan.record(*describe_index)) << "\n";
       return 0;
     }
 

@@ -25,11 +25,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "args.hpp"
 #include "campaign/workload.hpp"
 #include "common/error.hpp"
 #include "isa/assembler.hpp"
@@ -57,12 +60,10 @@ bool resolve_bound(const isa::Program& program, const std::string& token, Addr* 
     return true;
   } catch (const SimError&) {
   }
-  try {
-    *out = static_cast<Addr>(std::stoul(token, nullptr, 0));
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const std::optional<u64> value = tools::parse_uint(token);
+  if (!value || *value > std::numeric_limits<Addr>::max()) return false;
+  *out = static_cast<Addr>(*value);
+  return true;
 }
 
 void dump_footprint(const isa::Program& program, const analysis::PageFootprint& fp) {
@@ -163,10 +164,10 @@ int main(int argc, char** argv) {
     else if (arg == "--instrument") instrument = true;
     else if (arg == "--no-cfi") options.resolve_indirect_address_taken = false;
     else if (arg == "--flat-footprint") options.interprocedural_footprint = false;
-    else if (arg == "--context-depth") options.context_depth = static_cast<u32>(std::strtoul(value(), nullptr, 0));
+    else if (arg == "--context-depth") options.context_depth = tools::uint_arg<u32>(arg, value());
     else if (arg == "--field-sensitive") options.field_sensitive = true;
     else if (arg == "--no-field-sensitive") options.field_sensitive = false;
-    else if (arg == "--sp-depth") options.field_sp_depth = static_cast<u32>(std::strtoul(value(), nullptr, 0));
+    else if (arg == "--sp-depth") options.field_sp_depth = tools::uint_arg<u32>(arg, value());
     else if (arg == "--json") json = true;
     else if (arg == "--cfg") cfg_dump = true;
     else if (arg == "--quiet") quiet = true;

@@ -43,6 +43,7 @@
 #include <string>
 
 #include "analysis/analyzer.hpp"
+#include "args.hpp"
 #include "common/error.hpp"
 #include "exec/fast_session.hpp"
 #include "isa/assembler.hpp"
@@ -144,8 +145,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_u64 = [&](u64 fallback) -> u64 {
-      return i + 1 < argc ? std::stoull(argv[++i]) : fallback;
+    auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::cerr << "missing value for " << arg << "\n";
+        std::exit(usage());
+      }
+      return argv[++i];
     };
     if (arg == "--rse") machine_config.framework_present = true;
     else if (arg == "--icm") enable_icm = true;
@@ -155,31 +160,26 @@ int main(int argc, char** argv) {
     else if (arg == "--cfc") enable_cfc = true;
     else if (arg == "--instrument") instrument = true;
     else if (arg == "--randomize") os_config.randomize_layout = true;
-    else if (arg == "--rerand") os_config.rerandomize_interval = next_u64(0);
-    else if (arg == "--limit") os_config.run_limit = next_u64(os_config.run_limit);
-    else if (arg == "--requests") requests = static_cast<u32>(next_u64(0));
-    else if (arg == "--io") io_latency = next_u64(0);
+    else if (arg == "--rerand") os_config.rerandomize_interval = tools::uint_arg<Cycle>(arg, value());
+    else if (arg == "--limit") os_config.run_limit = tools::uint_arg<Cycle>(arg, value());
+    else if (arg == "--requests") requests = tools::uint_arg<u32>(arg, value());
+    else if (arg == "--io") io_latency = tools::uint_arg<Cycle>(arg, value());
     else if (arg == "--stats") stats = true;
-    else if (arg == "--trace") trace = next_u64(0);
+    else if (arg == "--trace") trace = tools::uint_arg<u64>(arg, value());
     else if (arg == "--lint") lint = true;
     else if (arg == "--fast") fast = true;
     else if (arg == "--dme") dme = true;
     else if (arg == "--dme-seeds") {
-      const std::string v = i + 1 < argc ? argv[++i] : "";
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--dme-seeds expects A:B\n";
-        return usage();
-      }
+      const auto [a, b] = tools::split_arg(arg, value(), ':', "A:B");
       dme = true;
-      dme_seed_a = std::stoull(v.substr(0, colon));
-      dme_seed_b = std::stoull(v.substr(colon + 1));
+      dme_seed_a = tools::uint_arg<u64>(arg, a);
+      dme_seed_b = tools::uint_arg<u64>(arg, b);
     }
     else if (arg == "--flat-footprint") os_config.footprint_summaries = false;
-    else if (arg == "--context-depth") os_config.context_depth = static_cast<u32>(next_u64(os_config.context_depth));
+    else if (arg == "--context-depth") os_config.context_depth = tools::uint_arg<u32>(arg, value());
     else if (arg == "--field-sensitive") os_config.field_sensitive = true;
     else if (arg == "--no-field-sensitive") os_config.field_sensitive = false;
-    else if (arg == "--sp-depth") os_config.field_sp_depth = static_cast<u32>(next_u64(os_config.field_sp_depth));
+    else if (arg == "--sp-depth") os_config.field_sp_depth = tools::uint_arg<u32>(arg, value());
     else if (arg == "--static-cfc") {
       os_config.static_cfc = true;
       enable_cfc = true;
