@@ -15,10 +15,9 @@ GoldenRun simulate_golden(const WorkloadSetup& setup) {
   GoldenRun golden;
   golden.program = isa::assemble(setup.source);
 
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, setup.os);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+  BootedGuest boot(setup, golden.program, setup.os.run_limit);
+  os::Machine& machine = boot.machine;
+  os::GuestOs& guest = boot.guest;
   guest.run();
   if (!guest.finished()) {
     throw ConfigError("golden run of workload '" + setup.name + "' hit the run limit");
@@ -43,10 +42,9 @@ GoldenRun simulate_golden_fast(const WorkloadSetup& setup) {
   GoldenRun golden;
   golden.program = isa::assemble(setup.source);
 
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, setup.os);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+  BootedGuest boot(setup, golden.program, setup.os.run_limit);
+  os::Machine& machine = boot.machine;
+  os::GuestOs& guest = boot.guest;
 
   exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
   session.seed_leaders(golden.program);

@@ -62,10 +62,11 @@ struct CampaignSpec {
   /// Checkpoint-fork injection: capture one whole-machine snapshot
   /// (os::MachineSnapshot) per injection-cycle bucket and fork every run
   /// from the latest snapshot at or before its injection cycle, paying only
-  /// the post-injection suffix.  Chains built from a from-reset pass are
-  /// bit-exact, so classified outcomes, per-run cycle counts, and the
+  /// the post-injection suffix.  The chain comes from one from-reset pass
+  /// and is bit-exact, so classified outcomes, per-run cycle counts, and the
   /// deterministic digest are byte-identical to from-reset runs; neither
-  /// flag enters the digest or the golden-cache key.
+  /// flag enters the digest or the golden-cache key.  Takes precedence over
+  /// fast_forward: with both set, every run forks.
   bool snapshot_fork = false;
   u32 snapshot_buckets = 8;
   /// Divergent multi-version execution (rse/dme.hpp): the campaign variant

@@ -98,11 +98,10 @@ RunResult CampaignRunner::run_one(const WorkloadSetup& setup, const GoldenRun& g
 namespace {
 
 /// Classify a completed (or budget-bounded) faulty run from its machine and
-/// guest state — shared by the classic and fast-forward paths, which must
-/// gather evidence identically.  A non-null `checker` contributes the DME
-/// trace-comparison evidence: a length shortfall only counts as divergence
-/// when the run itself ended cleanly (a crash or hang truncates the trace
-/// for reasons the crash/hang outcome already explains).
+/// guest state: the run pipeline's last step.  A non-null `checker`
+/// contributes the DME trace-comparison evidence: a length shortfall only
+/// counts as divergence when the run itself ended cleanly (a crash or hang
+/// truncates the trace for reasons the crash/hang outcome already explains).
 void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golden,
                 bool host_trap, dme::TraceChecker* checker, RunResult* result) {
   RunEvidence evidence;
@@ -132,33 +131,128 @@ void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golde
   result->cycles = machine.now();
 }
 
-/// Install a streaming trace checker on the machine's commit hook.  The
-/// checker must outlive the machine's stepping (the caller keeps it on its
-/// stack frame until finish_run).
-void install_checker(os::Machine& machine, dme::TraceChecker& checker) {
-  machine.core().set_commit_record([&checker](const cpu::Core::CommitRecord& r) {
-    checker.push(r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value);
-  });
-}
-
 }  // namespace
 
-RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
-                                              const GoldenRun& golden,
-                                              const InjectionRecord& record, Cycle budget,
-                                              const dme::CanonicalTrace* dme_reference) const {
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
+/// What a run's prefix may start from.  Neither source: every run starts
+/// from reset.  A chain: the latest snapshot at or before the injection
+/// cycle (checkpoint-fork).  A boundary map: a fast-engine prefix up to the
+/// injection cycle (fast-forward).
+struct CampaignRunner::Prefixes {
+  const SnapshotChain* chain = nullptr;
+  const exec::FastForwardController::BoundaryMap* boundaries = nullptr;
+  const exec::FastForwardController::SyscallSchedule* schedule = nullptr;
+};
 
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+/// The prefix one run starts from: a snapshot, a fast-forward boundary, or
+/// (both null) reset, with the reason it fell back to reset if it did.
+struct CampaignRunner::Route {
+  const os::MachineSnapshot* snapshot = nullptr;
+  const exec::FastForwardController::Boundary* boundary = nullptr;
+  Fallback fallback = kNoFallback;
+};
 
+CampaignRunner::Route CampaignRunner::route(const GoldenRun& golden,
+                                            const InjectionRecord& record, Cycle budget,
+                                            const Prefixes& prefixes) {
+  // No prefix may end past the hang budget: a from-reset run stops there
+  // without applying its fault, and every route must observe the same.
+  if (prefixes.chain != nullptr) {
+    Route latest{.fallback = kUnmapped};
+    for (const os::MachineSnapshot& snap : prefixes.chain->snaps) {
+      if (snap.at > record.inject_cycle || snap.at > budget) break;
+      latest = Route{.snapshot = &snap};
+    }
+    return latest;
+  }
+  if (prefixes.boundaries == nullptr) return Route{};
+
+  // Register-bit faults fast-forward whenever their cycle is mapped;
+  // instruction-/data-word faults fast-forward unless the word was in flight
+  // in the pipeline at the boundary (fetched-but-uncommitted text, or the
+  // target of a dispatched store) — the classic run's pipeline holds the
+  // clean word across the flip there, which the pipeline-less fast prefix
+  // cannot reproduce.  Config faults interact with in-flight CHK IOQ entries
+  // and stay classic.  Records whose injection cycle the fault-free run never
+  // reaches have no boundary entry (the classic path applies no fault there
+  // either).
+  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
+                            record.target == InjectTarget::kDataWord;
+  if (record.target != InjectTarget::kRegisterBit && !memory_fault) {
+    return Route{.fallback = kTarget};
+  }
+  const auto boundary = prefixes.boundaries->find(record.inject_cycle);
+  if (record.inject_cycle >= budget || boundary == prefixes.boundaries->end()) {
+    return Route{.fallback = kUnmapped};
+  }
+  if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
+    return Route{.fallback = kConflict};
+  }
+  // An instruction-word fault on an ICM-checked instruction (one preceded
+  // by a `chk icm`) stays classic: the ICM compares the fetched word at
+  // dispatch, including wrong-path dispatches that are later squashed, so
+  // whether the corrupted word is ever *checked* depends on branch-predictor
+  // and pipeline state at the injection cycle — state the pipeline-less fast
+  // prefix cannot reproduce.  Faults on unchecked words (and on the chk
+  // words themselves) have no speculation-visible detector, so the committed
+  // path the transplant reproduces fully determines their classification.
+  if (record.target == InjectTarget::kInstructionWord &&
+      record.addr >= golden.program.text_base + 4) {
+    const std::size_t prev = (record.addr - 4 - golden.program.text_base) / 4;
+    if (prev < golden.program.text.size()) {
+      const isa::Instr before = isa::decode(golden.program.text[prev]);
+      if (before.op == isa::Op::kChk && before.chk_module == isa::ModuleId::kIcm) {
+        return Route{.fallback = kChecked};
+      }
+    }
+  }
+  return Route{.boundary = &boundary->second};
+}
+
+RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenRun& golden,
+                                       const InjectionRecord& record, Cycle budget,
+                                       const Prefixes& prefixes,
+                                       const dme::CanonicalTrace* dme_reference) const {
+  Route route = CampaignRunner::route(golden, record, budget, prefixes);
+  std::optional<BootedGuest> boot(std::in_place, setup, golden.program, budget);
+  if (route.snapshot != nullptr) {
+    // Restore failures are campaign bugs, not guest crashes: let them escape
+    // rather than classify as kCrash.
+    os::MachineSnapshot::restore(*route.snapshot, boot->machine, boot->guest);
+  } else if (route.boundary != nullptr) {
+    exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
+    if (!exec::FastForwardController::fast_forward_to(boot->guest, golden.program,
+                                                      route.boundary->position,
+                                                      record.inject_cycle, prefixes.schedule,
+                                                      &bail)) {
+      // Fast mode bailed (non-resumable syscall, early exit, illegal word)
+      // and left the guest unusable: start again from reset.
+      switch (bail) {
+        case exec::FastSession::BailReason::kSyscall: route = Route{.fallback = kSyscall}; break;
+        case exec::FastSession::BailReason::kSuspend: route = Route{.fallback = kSuspend}; break;
+        case exec::FastSession::BailReason::kIllegal: route = Route{.fallback = kIllegal}; break;
+        case exec::FastSession::BailReason::kNone: route = Route{.fallback = kOther}; break;
+      }
+      boot.emplace(setup, golden.program, budget);
+    }
+  }
+  if (prefixes.boundaries != nullptr) {
+    ff_counts_[route.fallback].fetch_add(1, std::memory_order_relaxed);
+  }
+  os::Machine& machine = boot->machine;
+  os::GuestOs& guest = boot->guest;
+
+  // The trace checker streams every commit after the prefix.  A fast-forward
+  // prefix committed `position` instructions that it never saw; start it at
+  // the boundary so the suffix compares against the right reference records.
+  // Valid because the campaign's DME gate requires a divergence-free
+  // fault-free baseline (the skipped prefix matches).
   std::optional<dme::TraceChecker> checker;
   if (dme_reference != nullptr) {
     checker.emplace(dme_reference, dme::RegionMap::of(guest));
-    install_checker(machine, *checker);
+    if (route.boundary != nullptr) checker->set_position(route.boundary->position);
+    machine.core().set_commit_record([&checker](const cpu::Core::CommitRecord& r) {
+      checker->push(r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value);
+    });
   }
 
   RunResult result;
@@ -184,30 +278,11 @@ RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
   return result;
 }
 
-FastForwardStats CampaignRunner::fast_forward_stats() const {
-  FastForwardStats stats;
-  stats.fast = ff_accum_.fast.load(std::memory_order_relaxed);
-  stats.fallback_target = ff_accum_.fallback_target.load(std::memory_order_relaxed);
-  stats.fallback_unmapped = ff_accum_.fallback_unmapped.load(std::memory_order_relaxed);
-  stats.fallback_conflict = ff_accum_.fallback_conflict.load(std::memory_order_relaxed);
-  stats.fallback_checked = ff_accum_.fallback_checked.load(std::memory_order_relaxed);
-  stats.fallback_syscall = ff_accum_.fallback_syscall.load(std::memory_order_relaxed);
-  stats.fallback_suspend = ff_accum_.fallback_suspend.load(std::memory_order_relaxed);
-  stats.fallback_illegal = ff_accum_.fallback_illegal.load(std::memory_order_relaxed);
-  stats.fallback_other = ff_accum_.fallback_other.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void CampaignRunner::reset_fast_forward_stats() const {
-  ff_accum_.fast.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_target.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_unmapped.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_conflict.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_checked.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_syscall.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_suspend.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_illegal.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_other.store(0, std::memory_order_relaxed);
+RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
+                                              const GoldenRun& golden,
+                                              const InjectionRecord& record, Cycle budget,
+                                              const dme::CanonicalTrace* dme_reference) const {
+  return run_pipeline(setup, golden, record, budget, Prefixes{}, dme_reference);
 }
 
 RunResult CampaignRunner::run_one_fast_forward(
@@ -215,227 +290,47 @@ RunResult CampaignRunner::run_one_fast_forward(
     Cycle budget, const exec::FastForwardController::BoundaryMap& boundaries,
     const exec::FastForwardController::SyscallSchedule* schedule,
     const dme::CanonicalTrace* dme_reference) const {
-  const auto bump = [](std::atomic<u64>& counter) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  };
-  // Register-bit faults fast-forward unconditionally; instruction-/data-word
-  // faults fast-forward unless the word was in flight in the pipeline at the
-  // boundary (fetched-but-uncommitted text, or the target of a dispatched
-  // store) — the classic run's pipeline holds the clean word across the flip
-  // there, which the pipeline-less fast prefix cannot reproduce.  Config
-  // faults interact with in-flight CHK IOQ entries and stay classic.
-  // Records whose injection cycle the fault-free run never reaches have no
-  // boundary entry (the classic path applies no fault there either).
-  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
-                            record.target == InjectTarget::kDataWord;
-  if (record.target != InjectTarget::kRegisterBit && !memory_fault) {
-    bump(ff_accum_.fallback_target);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  const auto boundary = boundaries.find(record.inject_cycle);
-  if (boundary == boundaries.end()) {
-    bump(ff_accum_.fallback_unmapped);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
-    bump(ff_accum_.fallback_conflict);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  // An instruction-word fault on an ICM-checked instruction (one preceded
-  // by a `chk icm`) stays classic: the ICM compares the fetched word at
-  // dispatch, including wrong-path dispatches that are later squashed, so
-  // whether the corrupted word is ever *checked* depends on branch-predictor
-  // and pipeline state at the injection cycle — state the pipeline-less fast
-  // prefix cannot reproduce.  Faults on unchecked words (and on the chk
-  // words themselves) have no speculation-visible detector, so the committed
-  // path the transplant reproduces fully determines their classification.
-  if (record.target == InjectTarget::kInstructionWord &&
-      record.addr >= golden.program.text_base + 4) {
-    const std::size_t prev = (record.addr - 4 - golden.program.text_base) / 4;
-    if (prev < golden.program.text.size()) {
-      const isa::Instr before = isa::decode(golden.program.text[prev]);
-      if (before.op == isa::Op::kChk && before.chk_module == isa::ModuleId::kIcm) {
-        bump(ff_accum_.fallback_checked);
-        return run_one_with_budget(setup, golden, record, budget, dme_reference);
-      }
-    }
-  }
-
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
-
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-
-  exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
-  if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
-                                                    boundary->second.position,
-                                                    record.inject_cycle, schedule, &bail)) {
-    // Fast mode bailed (non-resumable syscall, early exit, illegal word):
-    // rerun classically on a fresh machine — correctness over speed.
-    switch (bail) {
-      case exec::FastSession::BailReason::kSyscall: bump(ff_accum_.fallback_syscall); break;
-      case exec::FastSession::BailReason::kSuspend: bump(ff_accum_.fallback_suspend); break;
-      case exec::FastSession::BailReason::kIllegal: bump(ff_accum_.fallback_illegal); break;
-      case exec::FastSession::BailReason::kNone: bump(ff_accum_.fallback_other); break;
-    }
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  ff_accum_.fast.fetch_add(1, std::memory_order_relaxed);
-
-  // The fast prefix committed `position` instructions that the checker never
-  // saw; advance it to the boundary so the suffix compares against the right
-  // reference records.  Valid because the campaign's DME gate requires a
-  // divergence-free fault-free baseline (the skipped prefix matches).
-  std::optional<dme::TraceChecker> checker;
-  if (dme_reference != nullptr) {
-    checker.emplace(dme_reference, dme::RegionMap::of(guest));
-    checker->set_position(boundary->second.position);
-    install_checker(machine, *checker);
-  }
-
-  RunResult result;
-  result.record = record;
-
-  bool host_trap = false;
-  try {
-    result.fault_applied = apply_fault(machine, record);
-    while (!guest.finished() && machine.now() < budget) guest.step();
-  } catch (const SimError&) {
-    host_trap = true;
-  }
-
-  finish_run(machine, guest, golden, host_trap, checker ? &*checker : nullptr, &result);
-  return result;
-}
-
-SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
-                                                   const GoldenRun& golden,
-                                                   const CampaignSpec& spec, Cycle budget,
-                                                   bool use_fast_forward) const {
-  SnapshotChain chain;
-  const u32 buckets = std::max(1u, spec.snapshot_buckets);
-  std::vector<Cycle> bounds;
-  for (u32 b = 0; b < buckets; ++b) {
-    const Cycle bound = golden.cycles * b / buckets;
-    if (bounds.empty() || bounds.back() != bound) bounds.push_back(bound);
-  }
-
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
-
-  if (!use_fast_forward) {
-    // One from-reset cycle-accurate pass captures every bucket boundary.
-    // Because the pass replicates the classic pre-injection loop exactly,
-    // each snapshot is bit-identical to the machine state a classic run
-    // reaches at that cycle — the chain is exact.
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    for (Cycle bound : bounds) {
-      while (!guest.finished() && machine.now() < bound && machine.now() < budget) guest.step();
-      while (!guest.finished() && machine.now() < budget &&
-             !os::MachineSnapshot::quiescent(machine)) {
-        guest.step();
-      }
-      if (guest.finished() || !os::MachineSnapshot::quiescent(machine)) break;
-      if (!chain.snaps.empty() && chain.snaps.back().at == machine.now()) continue;
-      chain.snaps.push_back(os::MachineSnapshot::capture(machine, guest));
-    }
-    return chain;
-  }
-
-  // Fast-forward mode: each boundary's fault-free prefix runs through the
-  // exec/ fast engine and is transplanted into the cycle-accurate core at
-  // the boundary.  The transplant drains the pipeline, so these snapshots
-  // are not microarchitecturally identical to a from-reset run's state —
-  // the chain is inexact and forking from it is register-fault-only.
-  chain.exact = false;
-  std::vector<Cycle> ff_bounds;
-  for (Cycle bound : bounds) {
-    if (bound > 0) ff_bounds.push_back(bound);
-  }
-  exec::FastForwardController::BoundaryMap bmap;
-  if (!ff_bounds.empty()) {
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    bmap = exec::FastForwardController::map_boundaries(guest, std::move(ff_bounds));
-  }
-  for (Cycle bound : bounds) {
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    if (bound > 0) {
-      const auto boundary = bmap.find(bound);
-      if (boundary == bmap.end()) break;  // golden finished before this bound
-      if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
-                                                        boundary->second.position, bound)) {
-        continue;  // fast mode bailed; runs in this bucket fork from an earlier snap
-      }
-    }
-    while (!guest.finished() && machine.now() < budget &&
-           !os::MachineSnapshot::quiescent(machine)) {
-      guest.step();
-    }
-    if (guest.finished() || !os::MachineSnapshot::quiescent(machine)) continue;
-    if (!chain.snaps.empty() && chain.snaps.back().at >= machine.now()) continue;
-    chain.snaps.push_back(os::MachineSnapshot::capture(machine, guest));
-  }
-  return chain;
+  return run_pipeline(setup, golden, record, budget, Prefixes{nullptr, &boundaries, schedule},
+                      dme_reference);
 }
 
 RunResult CampaignRunner::run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
                                          const InjectionRecord& record, Cycle budget,
                                          const SnapshotChain& chain) const {
-  // Latest snapshot at or before the injection cycle.  Inexact (fast-
-  // forward-built) chains are only valid for register faults — the same
-  // eligibility rule as run_one_fast_forward.
-  const os::MachineSnapshot* snap = nullptr;
-  if (chain.exact || record.target == InjectTarget::kRegisterBit) {
-    for (const os::MachineSnapshot& s : chain.snaps) {
-      if (s.at > record.inject_cycle) break;
-      snap = &s;
-    }
-  }
-  if (snap == nullptr) return run_one_with_budget(setup, golden, record, budget);
+  return run_pipeline(setup, golden, record, budget, Prefixes{&chain}, nullptr);
+}
 
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
+FastForwardStats CampaignRunner::fast_forward_stats() const {
+  const auto count = [this](Fallback f) { return ff_counts_[f].load(std::memory_order_relaxed); };
+  return FastForwardStats{count(kNoFallback), count(kTarget),  count(kUnmapped),
+                          count(kConflict),   count(kChecked), count(kSyscall),
+                          count(kSuspend),    count(kIllegal), count(kOther)};
+}
 
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-  // Restore failures are campaign bugs, not guest crashes: let them escape
-  // rather than classify as kCrash.
-  os::MachineSnapshot::restore(*snap, machine, guest);
-
-  RunResult result;
-  result.record = record;
-
-  // From here on the body is the classic run_one_with_budget loop verbatim:
-  // the snapshot stands in for the fault-free prefix it already simulated.
-  bool host_trap = false;
-  try {
-    while (!guest.finished() && machine.now() < record.inject_cycle && machine.now() < budget) {
+SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
+                                                   const GoldenRun& golden,
+                                                   const CampaignSpec& spec, Cycle budget,
+                                                   bool /*use_fast_forward*/) const {
+  // One from-reset pass replicating the classic pre-injection loop captures
+  // every bucket boundary, so each snapshot is bit-identical to the machine
+  // state a classic run reaches at that cycle.
+  SnapshotChain chain;
+  const u32 buckets = std::max(1u, spec.snapshot_buckets);
+  BootedGuest boot(setup, golden.program, budget);
+  os::Machine& machine = boot.machine;
+  os::GuestOs& guest = boot.guest;
+  for (u32 b = 0; b < buckets; ++b) {
+    const Cycle bound = golden.cycles * b / buckets;
+    while (!guest.finished() && machine.now() < bound && machine.now() < budget) guest.step();
+    while (!guest.finished() && machine.now() < budget &&
+           !os::MachineSnapshot::quiescent(machine)) {
       guest.step();
     }
-    if (!guest.finished() && machine.now() < budget) {
-      result.fault_applied = apply_fault(machine, record);
-    }
-    while (!guest.finished() && machine.now() < budget) guest.step();
-  } catch (const SimError&) {
-    host_trap = true;
+    if (guest.finished() || !os::MachineSnapshot::quiescent(machine)) break;
+    if (!chain.snaps.empty() && chain.snaps.back().at == machine.now()) continue;
+    chain.snaps.push_back(os::MachineSnapshot::capture(machine, guest));
   }
-
-  finish_run(machine, guest, golden, host_trap, /*checker=*/nullptr, &result);
-  return result;
+  return chain;
 }
 
 CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
@@ -500,11 +395,6 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
     golden_ptr = &golden_local;
   }
 
-  // Fast-forward prerequisites: one instrumented cycle-accurate replay maps
-  // each register-fault injection cycle to its functional-stream position.
-  // A golden run with baseline detector activity disables the fast path
-  // entirely — the detector events of the fault-free prefix would be missing
-  // from a fast-forwarded run, skewing the against-golden classification.
   // This shard executes the contiguous plan range [shard_lo, shard_hi).
   // Unsharded campaigns cover the whole plan; merging every shard's report
   // reproduces the unsharded digest byte-for-byte (campaign/shard.hpp).
@@ -512,12 +402,18 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   const u32 shard_hi =
       static_cast<u32>(u64{spec.runs} * (spec.shard_index + 1) / spec.shard_count);
 
-  reset_fast_forward_stats();
+  // Fast-forward prerequisites: one instrumented cycle-accurate replay maps
+  // each eligible injection cycle to its functional-stream position.  A
+  // golden run with baseline detector activity disables the fast path
+  // entirely — the detector events of the fault-free prefix would be missing
+  // from a fast-forwarded run, skewing the against-golden classification.
+  // A DME baseline divergence (variant B disagrees with fault-free variant A)
+  // also disables it: the skipped prefix could hide where the baseline
+  // diverges, so set_position would desynchronize the checker.
+  for (std::atomic<u64>& count : ff_counts_) count.store(0, std::memory_order_relaxed);
+  Prefixes prefixes;
   exec::FastForwardController::BoundaryMap boundaries;
   exec::FastForwardController::SyscallSchedule schedule;
-  // A DME baseline divergence (variant B disagrees with fault-free variant A)
-  // also disables fast-forward: the skipped prefix could hide where the
-  // baseline diverges, so set_position would desynchronize the checker.
   const bool golden_baseline_clean =
       golden->icm_mismatches == 0 && golden->cfc_violations == 0 &&
       golden->selfcheck_trips == 0 && golden->os_recoveries == 0 &&
@@ -534,17 +430,13 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
       if (eligible) cycles.push_back(record.inject_cycle);
     }
     if (!cycles.empty()) {
-      os::OsConfig os_config = setup.os;
-      os_config.run_limit = budget;
-      os::Machine machine(setup.machine);
-      os::GuestOs guest(machine, os_config);
-      guest.load(golden->program);
-      for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+      BootedGuest boot(setup, golden->program, budget);
       // The same replay that samples boundary positions and in-flight
       // ranges also records the syscall schedule that arms bail-and-resume.
-      boundaries = exec::FastForwardController::map_boundaries(guest, std::move(cycles),
+      boundaries = exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles),
                                                                &schedule);
     }
+    prefixes = Prefixes{nullptr, &boundaries, &schedule};
   }
 
   u32 jobs = spec.jobs != 0 ? spec.jobs : std::max(1u, std::thread::hardware_concurrency());
@@ -556,7 +448,8 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   // mode's setup cost, amortized across every run that forks from it.
   SnapshotChain chain;
   if (spec.snapshot_fork) {
-    chain = build_snapshot_chain(setup, *golden, spec, budget, use_fast_forward);
+    chain = build_snapshot_chain(setup, *golden, spec, budget, /*use_fast_forward=*/false);
+    prefixes = Prefixes{&chain};
   }
 
   // Execute plan indices [lo, hi), appending to `results` in index order.
@@ -573,15 +466,8 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
         if (index >= hi) return;
         const InjectionRecord record = plan.record(index);
         RunResult& slot = results[base + (index - lo)];
-        const dme::CanonicalTrace* dme_ref = spec.dme ? &reference : nullptr;
-        if (spec.snapshot_fork) {
-          slot = run_one_forked(setup, *golden_ptr, record, budget, chain);
-        } else if (use_fast_forward) {
-          slot = run_one_fast_forward(setup, *golden_ptr, record, budget, boundaries,
-                                      &schedule, dme_ref);
-        } else {
-          slot = run_one_with_budget(setup, *golden_ptr, record, budget, dme_ref);
-        }
+        slot = run_pipeline(setup, *golden_ptr, record, budget, prefixes,
+                            spec.dme ? &reference : nullptr);
       }
     };
     const u32 pool_size = std::min(jobs, hi - lo);

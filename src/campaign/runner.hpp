@@ -12,6 +12,7 @@
 // cycle count; runs that exceed it classify as kHang.
 #pragma once
 
+#include <array>
 #include <atomic>
 
 #include "campaign/golden.hpp"
@@ -24,12 +25,10 @@
 namespace rse::campaign {
 
 /// One whole-machine snapshot per injection-cycle bucket, in increasing `at`
-/// order.  A chain built from a single from-reset pass is bit-exact (`exact`):
-/// restoring any snapshot reproduces the classic run's machine state at that
-/// cycle precisely, so runs of *every* fault target may fork from it.  A
-/// chain built through fast-forward transplants is not microarchitecturally
-/// exact; forking from it is restricted to register-bit faults — the same
-/// restriction run_one_fast_forward enforces.
+/// order, captured by a single from-reset cycle-accurate pass: restoring any
+/// snapshot reproduces the classic run's machine state at that cycle
+/// precisely, so runs of every fault target may fork from it.  `exact` is
+/// always true; it stays only because perfbench/ reads it.
 struct SnapshotChain {
   std::vector<os::MachineSnapshot> snaps;
   bool exact = true;
@@ -43,7 +42,8 @@ struct FastForwardStats {
   u64 fast = 0;               // prefixes that ran on the fast engine
   u64 fallback_target = 0;    // ineligible fault target (config faults)
   u64 fallback_unmapped = 0;  // no boundary: golden finished before the cycle,
-                              // or a CI-refinement index past the mapped plan
+                              // the cycle is at or past the hang budget, or a
+                              // CI-refinement index past the mapped plan
   u64 fallback_conflict = 0;  // memory-word fault overlapped in-flight state
   u64 fallback_checked = 0;   // instr-word fault on an ICM-checked instruction
   u64 fallback_syscall = 0;   // un-executed, non-resumable syscall in prefix
@@ -77,21 +77,23 @@ class CampaignRunner {
                     const InjectionRecord& record,
                     const dme::CanonicalTrace* dme_reference = nullptr) const;
 
+  /// The three entry points below share one pipeline: boot, a prefix (from
+  /// reset, a restored snapshot, or a fast-engine prefix), the fault, the
+  /// run to the hang budget, classification.  Which prefix a run gets never
+  /// changes its classified outcome: that is always the from-reset one
+  /// (docs/execution.md).
   RunResult run_one_with_budget(const WorkloadSetup& setup, const GoldenRun& golden,
                                 const InjectionRecord& record, Cycle budget,
                                 const dme::CanonicalTrace* dme_reference = nullptr) const;
 
-  /// Fast-forward variant: the fault-free prefix runs through the exec/ fast
-  /// engine and is transplanted into the cycle-accurate core at the
-  /// injection cycle.  Register-bit records and instruction-/data-word
-  /// records whose boundary reports no in-flight overlap take the fast path
-  /// (the fault itself is applied after the transplant, exactly where the
-  /// classic loop applies it); a non-null `schedule` additionally lets the
-  /// prefix bail-and-resume through non-whitelisted syscalls.  Everything
-  /// else (config faults, records past the fault-free run's end, in-flight
-  /// conflicts, fast-mode bails) falls back to the classic
-  /// run_one_with_budget — so the classified outcome is always the classic
-  /// one (docs/execution.md).
+  /// Fast-forward: the fault-free prefix runs through the exec/ fast engine
+  /// and is transplanted into the cycle-accurate core at the injection
+  /// cycle.  Register-bit records and instruction-/data-word records whose
+  /// boundary reports no in-flight overlap take the fast prefix; a non-null
+  /// `schedule` additionally lets it bail-and-resume through
+  /// non-whitelisted syscalls.  Everything else (config faults, cycles the
+  /// fault-free run never reaches or the hang budget cuts off, in-flight
+  /// conflicts, fast-mode bails) starts from reset.
   RunResult run_one_fast_forward(const WorkloadSetup& setup, const GoldenRun& golden,
                                  const InjectionRecord& record, Cycle budget,
                                  const exec::FastForwardController::BoundaryMap& boundaries,
@@ -103,22 +105,18 @@ class CampaignRunner {
   /// run_one_fast_forward calls since then).  Not part of any digest.
   FastForwardStats fast_forward_stats() const;
 
-  /// Checkpoint-fork variant: restore the latest chain snapshot at or before
-  /// the injection cycle into a fresh machine/guest pair, then replicate the
-  /// classic stepping loop from there — only the post-snapshot suffix is
-  /// simulated.  Records with no eligible snapshot (inexact chain + non-
-  /// register target, or empty chain) fall back to run_one_with_budget, so
-  /// classified outcomes are always the classic ones.
+  /// Checkpoint-fork: restore the latest chain snapshot at or before the
+  /// injection cycle, then step to it as a from-reset run would.  Records
+  /// with no such snapshot start from reset.
   RunResult run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
                            const InjectionRecord& record, Cycle budget,
                            const SnapshotChain& chain) const;
 
   /// Build the per-bucket snapshot chain for a spec: bucket boundaries are
-  /// golden.cycles * b / snapshot_buckets.  With `use_fast_forward`, each
-  /// boundary's prefix runs through the exec/ fast engine (chain.exact =
-  /// false); otherwise one from-reset cycle-accurate pass captures every
-  /// boundary (bit-exact).  Each capture steps past its boundary to the next
-  /// quiescent cycle (os::MachineSnapshot::quiescent).
+  /// golden.cycles * b / snapshot_buckets, and one from-reset cycle-accurate
+  /// pass captures them all.  Each capture steps past its boundary to the
+  /// next quiescent cycle (os::MachineSnapshot::quiescent).  The fifth
+  /// parameter is unused; it stays only because perfbench/ passes it.
   SnapshotChain build_snapshot_chain(const WorkloadSetup& setup, const GoldenRun& golden,
                                      const CampaignSpec& spec, Cycle budget,
                                      bool use_fast_forward) const;
@@ -130,27 +128,39 @@ class CampaignRunner {
   GoldenCache& cache() { return *cache_; }
 
  private:
+  struct Prefixes;  // what a run's prefix may start from (runner.cpp)
+  struct Route;     // the prefix one run starts from, and why (runner.cpp)
+
+  /// Why a run starts from reset rather than the prefix it was offered;
+  /// kNoFallback when it took that prefix.  Indexes ff_counts_, in
+  /// FastForwardStats order.
+  enum Fallback : u8 {
+    kNoFallback,
+    kTarget,
+    kUnmapped,
+    kConflict,
+    kChecked,
+    kSyscall,
+    kSuspend,
+    kIllegal,
+    kOther,
+    kNumFallbacks
+  };
+
   Cycle budget_for(const GoldenRun& golden, double hang_factor) const;
   bool apply_fault(os::Machine& machine, const InjectionRecord& record) const;
-  void reset_fast_forward_stats() const;
+  static Route route(const GoldenRun& golden, const InjectionRecord& record, Cycle budget,
+                     const Prefixes& prefixes);
+  RunResult run_pipeline(const WorkloadSetup& setup, const GoldenRun& golden,
+                         const InjectionRecord& record, Cycle budget, const Prefixes& prefixes,
+                         const dme::CanonicalTrace* dme_reference) const;
 
   GoldenCache own_cache_;
   GoldenCache* cache_;
 
-  // Workers increment concurrently; relaxed atomics, snapshot via
-  // fast_forward_stats().
-  struct AtomicFfStats {
-    std::atomic<u64> fast{0};
-    std::atomic<u64> fallback_target{0};
-    std::atomic<u64> fallback_unmapped{0};
-    std::atomic<u64> fallback_conflict{0};
-    std::atomic<u64> fallback_checked{0};
-    std::atomic<u64> fallback_syscall{0};
-    std::atomic<u64> fallback_suspend{0};
-    std::atomic<u64> fallback_illegal{0};
-    std::atomic<u64> fallback_other{0};
-  };
-  mutable AtomicFfStats ff_accum_;
+  // Runs offered a fast-forward prefix, by fallback; workers increment
+  // concurrently with relaxed atomics.
+  mutable std::array<std::atomic<u64>, kNumFallbacks> ff_counts_{};
 };
 
 }  // namespace rse::campaign

@@ -263,6 +263,17 @@ WorkloadSetup make_workload(const std::string& name) {
   throw ConfigError("unknown campaign workload: " + name);
 }
 
+BootedGuest::BootedGuest(const WorkloadSetup& setup, const isa::Program& program,
+                         Cycle run_limit)
+    : machine(setup.machine), guest(machine, [&] {
+        os::OsConfig config = setup.os;
+        config.run_limit = run_limit;
+        return config;
+      }()) {
+  guest.load(program);
+  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+}
+
 std::vector<std::string> workload_names() {
   return {"loop",        "calls",      "args",       "stride",      "kmeans",
           "kmeans-large", "server",     "attack-stack", "benign-stack",

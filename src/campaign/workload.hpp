@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "isa/instruction.hpp"
+#include "isa/program.hpp"
 #include "os/guest_os.hpp"
 #include "os/machine.hpp"
 
@@ -19,6 +20,16 @@ struct WorkloadSetup {
   os::MachineConfig machine;
   os::OsConfig os;
   std::vector<isa::ModuleId> host_enables;  // enabled after load (as a loader would)
+};
+
+/// A fresh machine and guest OS with `program` loaded and the setup's
+/// modules enabled, bounded by `run_limit` cycles: how every golden run,
+/// faulty run, boundary replay and snapshot pass starts.
+struct BootedGuest {
+  os::Machine machine;
+  os::GuestOs guest;
+
+  BootedGuest(const WorkloadSetup& setup, const isa::Program& program, Cycle run_limit);
 };
 
 /// Build a named workload.  Known names: "loop" (small checked loop,

@@ -156,6 +156,43 @@ TEST(CampaignRunner, FastForwardRegisterOnlyCampaignMatchesClassic) {
   EXPECT_EQ(deterministic_digest(ff), deterministic_digest(classic));
 }
 
+TEST(CampaignRunner, FastForwardStopsAtTheHangBudgetLikeClassic) {
+  // At hang factor 0.5 the budget cuts the fault-free run in half, so many
+  // injection cycles lie past it.  A from-reset run stops at the budget
+  // without applying those faults; a fast-forward prefix must not run past
+  // it either, or the fault lands where the classic run never gets.
+  CampaignRunner runner;
+  CampaignSpec classic_spec;
+  classic_spec.workload = "kmeans-large";
+  classic_spec.runs = 16;
+  classic_spec.seed = 64;
+  classic_spec.jobs = 2;
+  classic_spec.hang_factor = 0.5;
+  CampaignSpec ff_spec = classic_spec;
+  ff_spec.fast_forward = true;
+
+  const CampaignReport classic = runner.run(classic_spec);
+  const CampaignReport ff = runner.run(ff_spec);
+  EXPECT_EQ(deterministic_digest(ff), deterministic_digest(classic));
+  EXPECT_EQ(ff.faults_applied, classic.faults_applied);
+
+  const Cycle budget =
+      static_cast<Cycle>(static_cast<double>(classic.golden_cycles) * classic_spec.hang_factor) +
+      20'000;
+  ASSERT_EQ(ff.results.size(), classic.results.size());
+  u32 past_budget = 0;
+  for (u32 i = 0; i < classic.results.size(); ++i) {
+    if (classic.results[i].record.inject_cycle < budget) continue;
+    ++past_budget;
+    for (const CampaignReport* report : {&classic, &ff}) {
+      const RunResult& run = report->results[i];
+      EXPECT_FALSE(run.fault_applied) << "run " << i << (report == &ff ? " (ff)" : "");
+      EXPECT_EQ(run.cycles, budget) << "run " << i << (report == &ff ? " (ff)" : "");
+    }
+  }
+  EXPECT_GT(past_budget, 0u);
+}
+
 TEST(GoldenCache, DistinctWorkloadsGetDistinctGoldenRuns) {
   GoldenCache cache;
   const auto loop = cache.get(make_workload("loop"));

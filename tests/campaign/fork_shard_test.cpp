@@ -56,8 +56,8 @@ TEST_F(ForkShardTest, ForkedCampaignIsByteIdenticalToFromResetOnKmeans) {
 
   EXPECT_EQ(campaign::deterministic_digest(classic), campaign::deterministic_digest(forked));
   // Byte identity extends to the per-run CSV: outcome, fault_applied, and
-  // per-run cycle counts all survive forking (exact chains only — the
-  // snapshot restores the precise microarchitectural state).
+  // per-run cycle counts all survive forking (the chain is built from reset,
+  // so each snapshot restores the precise microarchitectural state).
   const std::string classic_csv = ::testing::TempDir() + "/classic_kmeans.csv";
   const std::string forked_csv = ::testing::TempDir() + "/forked_kmeans.csv";
   ASSERT_TRUE(campaign::write_runs_csv(classic, classic_csv));

@@ -11,6 +11,9 @@
 //     --hang-factor <f>     cycle budget = f x golden cycles       (8)
 //     --runs-csv <path>     per-run CSV export
 //     --json <path|->       JSON report ('-' = stdout)
+//     --static-cfc          static CFC successor table, computed at load
+//     --static-ddt          static DDT page footprint, computed at load
+//                           (enables the DDT)
 //     --flat-footprint      static analysis without interprocedural summaries
 //     --context-depth <n>   context-sensitive footprint cloning depth
 //                           (default 1; 0 = context-insensitive)
@@ -24,7 +27,8 @@
 //     --snapshot-fork       checkpoint-fork injection: one whole-machine
 //                           snapshot per injection-cycle bucket, every run
 //                           forks from the latest snapshot before its
-//                           injection cycle (identical digest)
+//                           injection cycle (identical digest; overrides
+//                           --fast-forward)
 //     --snapshot-buckets n  snapshot-chain bucket count               (8)
 //     --dme                 divergent multi-version execution: the campaign
 //                           runs layout-randomized under MLR seed A and every
@@ -205,10 +209,11 @@ int main(int argc, char** argv) {
       std::cout << campaign::deterministic_digest(report);
     } else {
       std::cout << campaign::summary_text(report);
-      if (spec.fast_forward && !merge_mode) {
-        // Fallback accounting: why runs left the fast path.  Observational
-        // only — outcomes and the digest never depend on the path taken.
-        const campaign::FastForwardStats ff = runner.fast_forward_stats();
+      // Fallback accounting for runs offered a fast-forward prefix (none
+      // are under --snapshot-fork or with a detector-noisy golden run).
+      // Observational only: outcomes and the digest never depend on it.
+      const campaign::FastForwardStats ff = runner.fast_forward_stats();
+      if (ff.fast + ff.fallbacks() > 0) {
         std::cout << "fast-forward: " << ff.fast << " fast, " << ff.fallbacks()
                   << " fallback (target " << ff.fallback_target << ", unmapped "
                   << ff.fallback_unmapped << ", conflict " << ff.fallback_conflict
