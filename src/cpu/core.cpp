@@ -10,6 +10,35 @@ using isa::Instr;
 using isa::Op;
 using isa::OpClass;
 
+namespace {
+
+/// The bytes one load or store touches: its aligned word and a mask of the
+/// word's bytes (bit i = byte `word + i`).  Accesses are naturally aligned
+/// (isa::effective_address), so two of them can overlap only inside one
+/// word.  Comparing words never forms `addr + size`, which wraps to 0 at the
+/// top of the address space.
+struct WordBytes {
+  Addr word;
+  u32 mask;
+};
+
+WordBytes word_bytes(Addr addr, u32 size) {
+  return {addr & ~3u, ((1u << size) - 1u) << (addr & 3u)};
+}
+
+/// The bytes two accesses share, as a mask within their word (0: disjoint).
+u32 shared_bytes(const WordBytes& a, const WordBytes& b) {
+  return a.word == b.word ? a.mask & b.mask : 0;
+}
+
+/// A byte mask widened to the bits of those bytes.
+Word byte_bits(u32 mask) {
+  return (mask & 1 ? 0x0000'00FFu : 0) | (mask & 2 ? 0x0000'FF00u : 0) |
+         (mask & 4 ? 0x00FF'0000u : 0) | (mask & 8 ? 0xFF00'0000u : 0);
+}
+
+}  // namespace
+
 Core::Core(const CoreConfig& config, mem::MainMemory& memory, mem::Cache& il1, mem::Cache& dl1)
     : config_(config),
       memory_(&memory),
@@ -83,26 +112,24 @@ void Core::cycle(Cycle now) {
 // ---------------------------------------------------------------- functional
 
 Word Core::read_mem_through_stores(Addr addr, u32 size, u32 upto_offset) const {
-  // Byte-wise resolution through the in-flight (dispatched, uncommitted)
-  // stores older than the load at RUU offset `upto_offset`.
-  Word value = 0;
-  for (u32 byte = 0; byte < size; ++byte) {
-    const Addr a = addr + byte;
-    u8 b = 0;
-    bool found = false;
-    for (u32 off = upto_offset; off-- > 0;) {
-      const RuuEntry& e = ruu_[(ruu_head_ + off) % config_.ruu_size];
-      if (!e.valid || !e.is_store || e.wrong_path) continue;
-      if (a >= e.eff_addr && a < e.eff_addr + e.mem_size) {
-        b = static_cast<u8>((e.mem_value >> (8 * (a - e.eff_addr))) & 0xFF);
-        found = true;
-        break;
-      }
-    }
-    if (!found) b = memory_->read_u8(a);
-    value |= static_cast<Word>(b) << (8 * byte);
+  // One youngest-first pass over the in-flight (dispatched, uncommitted)
+  // stores older than the load at RUU offset `upto_offset`.  Each store
+  // supplies the load's bytes that no younger store has supplied; memory
+  // supplies the bytes no store covers.  `word` holds them in place.
+  const WordBytes load = word_bytes(addr, size);
+  u32 filled = 0;
+  Word word = 0;
+  u32 index = ruu_index(upto_offset);
+  for (u32 off = upto_offset; off > 0 && filled != load.mask; --off) {
+    index = index == 0 ? config_.ruu_size - 1 : index - 1;
+    const RuuEntry& e = ruu_[index];
+    if (!e.valid || !e.is_store || e.wrong_path) continue;
+    const u32 fresh = shared_bytes(load, word_bytes(e.eff_addr, e.mem_size)) & ~filled;
+    word |= (e.mem_value << (8 * (e.eff_addr & 3u))) & byte_bits(fresh);
+    filled |= fresh;
   }
-  return value;
+  if (filled != load.mask) word |= memory_->read_u32(load.word) & ~byte_bits(filled);
+  return (word >> (8 * (addr & 3u))) & byte_bits((1u << size) - 1u);
 }
 
 void Core::exec_functional(RuuEntry& e, const FetchedInstr& f) {
@@ -294,9 +321,6 @@ void Core::stage_writeback(Cycle now) {
       engine::ExecuteInfo xi{engine::InstrTag{ruu_index(off), e.seq}, e.result, e.eff_addr,
                              e.is_mem};
       fw_->on_execute(xi, now);
-      if (e.instr.op_class() == OpClass::kLoad) {
-        fw_->on_mem_load({engine::InstrTag{ruu_index(off), e.seq}, e.mem_value}, now);
-      }
     }
     if (e.mispredicted && !e.wrong_path && e.instr.is_control()) {
       // Branch resolution: squash the wrong path and redirect fetch.
@@ -380,15 +404,13 @@ Cycle Core::issue_load(RuuEntry& e, u32 offset, Cycle now) {
   // Memory disambiguation: the youngest older store overlapping the load
   // forwards its data (1 cycle if it covers the load, a small penalty for a
   // partial overlap); otherwise the load accesses the D-cache.
+  const WordBytes load = word_bytes(e.eff_addr, e.mem_size);
   for (u32 off = offset; off-- > 0;) {
     const RuuEntry& s = ruu_[(ruu_head_ + off) % config_.ruu_size];
     if (!s.valid || !s.is_store || s.wrong_path) continue;
-    const Addr lo = e.eff_addr;
-    const Addr hi = e.eff_addr + e.mem_size;
-    const Addr slo = s.eff_addr;
-    const Addr shi = s.eff_addr + s.mem_size;
-    if (lo < shi && slo < hi) {
-      const bool covers = slo <= lo && shi >= hi;
+    const u32 shared = shared_bytes(load, word_bytes(s.eff_addr, s.mem_size));
+    if (shared != 0) {
+      const bool covers = shared == load.mask;
       return now + (covers ? 1 : 3);
     }
   }

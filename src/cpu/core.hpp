@@ -5,8 +5,9 @@
 // the paper, with tap points feeding the RSE framework:
 //
 //   dispatch      -> Fetch_Out + Regfile_Data (1-cycle latch)
-//   writeback     -> Execute_Out, Memory_Out
-//   commit/squash -> Commit_Out
+//   writeback     -> Execute_Out
+//   commit/squash -> Commit_Out (a load's value, the Memory_Out tap, rides
+//                    in its mem_value)
 //
 // Commit consults the framework's IOQ check bits (Table 1): a blocking CHECK
 // stalls commit until checkValid is set; check=1 flushes the pipeline and

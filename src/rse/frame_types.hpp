@@ -42,16 +42,11 @@ struct ExecuteInfo {
   bool is_mem = false;
 };
 
-/// Payload for Memory_Out: value loaded from memory.
-struct MemoryInfo {
-  InstrTag tag;
-  Word value = 0;
-};
-
 /// Payload for Commit_Out.  Carries the data an asynchronous module logs as
 /// permanent state when the commit signal arrives (section 3.2).  For stores
 /// this callback is made *before* the store value reaches memory, which is
-/// when the DDT's SavePage exception must fire.
+/// when the DDT's SavePage exception must fire.  A load's value (the paper's
+/// Memory_Out tap) arrives here too, in `mem_value`.
 struct CommitInfo {
   InstrTag tag;
   Addr pc = 0;

@@ -1,5 +1,6 @@
 #include "rse/framework.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rse::engine {
@@ -24,6 +25,13 @@ Module* Framework::module(isa::ModuleId id) const {
   return index < by_id_.size() ? by_id_[index] : nullptr;
 }
 
+void Framework::set_selfcheck_config(SelfCheckConfig config) {
+  selfcheck_ = config;
+  alarm_over_threshold_ =
+      std::any_of(alarm_counts_.begin(), alarm_counts_.end(),
+                  [&](u32 count) { return count > selfcheck_.alarm_threshold; });
+}
+
 void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   ++stats_.dispatches_seen;
   const bool is_chk = info.instr.op == isa::Op::kChk;
@@ -45,17 +53,11 @@ void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   ioq_.allocate(info.tag, pending, is_chk ? info.instr.chk_module : isa::ModuleId::kFramework,
                 now);
   queues_.fetch_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({DispatchEvent{info}, now + 1});
+  events_.push(Event::Kind::kDispatch, now + 1).dispatch = info;
 }
 
 void Framework::on_execute(const ExecuteInfo& info, Cycle now) {
-  queues_.execute_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({ExecuteEvent{info}, now + 1});
-}
-
-void Framework::on_mem_load(const MemoryInfo& info, Cycle now) {
-  queues_.memory_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({MemoryEvent{info}, now + 1});
+  events_.push(Event::Kind::kExecute, now + 1).execute = info;
 }
 
 Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
@@ -69,13 +71,11 @@ Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
       if (module->enabled()) stall += module->on_store_commit(info, now);
     }
   }
-  pending_.push_back({CommitEvent{info}, now + 1});
+  events_.push(Event::Kind::kCommit, now + 1).commit = info;
   // The IOQ entry and queue registers are freed as the commit signal removes
   // the instruction's data from the input queues (section 3.1).
   ioq_.free(info.tag);
   queues_.fetch_out.invalidate(info.tag.slot, info.tag.seq);
-  queues_.execute_out.invalidate(info.tag.slot, info.tag.seq);
-  queues_.memory_out.invalidate(info.tag.slot, info.tag.seq);
   return stall;
 }
 
@@ -83,9 +83,7 @@ void Framework::on_squash(const InstrTag& tag, Cycle now) {
   ++stats_.squashes_seen;
   ioq_.free(tag);
   queues_.fetch_out.invalidate(tag.slot, tag.seq);
-  queues_.execute_out.invalidate(tag.slot, tag.seq);
-  queues_.memory_out.invalidate(tag.slot, tag.seq);
-  pending_.push_back({SquashEvent{tag}, now + 1});
+  events_.push(Event::Kind::kSquash, now + 1).squash = tag;
 }
 
 Ioq::CheckBits Framework::check_bits(u32 slot) const {
@@ -119,7 +117,10 @@ void Framework::on_check_error(u32 slot, Cycle now) {
   if (entry.allocated) {
     ++stats_.errors_by_module[static_cast<unsigned>(entry.module)];
   }
-  if (!safe_mode_ && slot < alarm_counts_.size()) ++alarm_counts_[slot];
+  if (!safe_mode_ && slot < alarm_counts_.size() &&
+      ++alarm_counts_[slot] > selfcheck_.alarm_threshold) {
+    alarm_over_threshold_ = true;
+  }
 }
 
 void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
@@ -139,37 +140,40 @@ void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
 }
 
 void Framework::deliver(const Event& event, Cycle now) {
-  if (const auto* d = std::get_if<DispatchEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_dispatch(d->info, now);
-    }
-  } else if (const auto* e = std::get_if<ExecuteEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_execute(e->info, now);
-    }
-  } else if (const auto* m = std::get_if<MemoryEvent>(&event)) {
-    (void)m;  // Memory_Out is latched for module reads; no push handler yet.
-  } else if (const auto* c = std::get_if<CommitEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_commit(c->info, now);
-    }
-  } else if (const auto* s = std::get_if<SquashEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_squash(s->tag, now);
+  for (auto& module : modules_) {
+    if (!module->enabled()) continue;
+    switch (event.kind) {
+      case Event::Kind::kDispatch: module->on_dispatch(event.dispatch, now); break;
+      case Event::Kind::kExecute: module->on_execute(event.execute, now); break;
+      case Event::Kind::kCommit: module->on_commit(event.commit, now); break;
+      case Event::Kind::kSquash: module->on_squash(event.squash, now); break;
     }
   }
 }
 
 void Framework::tick(Cycle now) {
-  while (!pending_.empty() && pending_.front().visible_from <= now) {
-    deliver(pending_.front().event, now);
-    pending_.pop_front();
+  while (!events_.empty() && events_.front().visible_from <= now) {
+    // Delivered from a copy, so a handler may push without invalidating it.
+    const Event event = events_.front();
+    events_.pop();
+    deliver(event, now);
   }
   mau_.tick(now);
   for (auto& module : modules_) {
     if (module->enabled()) module->tick(now);
   }
-  if (selfcheck_.enabled && !safe_mode_) run_selfcheck(now);
+  if (selfcheck_.enabled && !safe_mode_ && selfcheck_due(now)) run_selfcheck(now);
+}
+
+bool Framework::selfcheck_due(Cycle now) const {
+  // run_selfcheck can trip, or change the watchdog's own state, only on a
+  // tick where one of these holds; on any other tick it would do nothing.
+  const Cycle timeout = selfcheck_.watchdog_timeout;
+  const Cycle unanswered = ioq_.unanswered_since();
+  return now - alarm_window_start_ > timeout  // the alarm window expires
+         || alarm_over_threshold_             // a false-alarm storm
+         || (unanswered != Ioq::kNoneUnanswered && now - unanswered > timeout)  // no progress
+         || ioq_.stuck_fault_injected();  // a free entry may read high (stuck-at 1)
 }
 
 void Framework::run_selfcheck(Cycle now) {
@@ -177,6 +181,7 @@ void Framework::run_selfcheck(Cycle now) {
   if (now - alarm_window_start_ > selfcheck_.watchdog_timeout) {
     alarm_window_start_ = now;
     for (u32& count : alarm_counts_) count = 0;
+    alarm_over_threshold_ = false;
   }
   for (u32 slot = 0; slot < ioq_.size(); ++slot) {
     if (alarm_counts_[slot] > selfcheck_.alarm_threshold) {
@@ -205,6 +210,9 @@ void Framework::run_selfcheck(Cycle now) {
       free_high_since_[slot] = 0;
     }
   }
+  // Nothing tripped: the entries that can time out next are the ones still
+  // unanswered now.
+  ioq_.refresh_unanswered();
 }
 
 void Framework::trip_selfcheck(SelfCheckVerdict verdict, Cycle now) {
@@ -229,11 +237,12 @@ void Framework::recouple() {
   verdict_ = SelfCheckVerdict::kOk;
   alarm_window_start_ = 0;
   for (u32& count : alarm_counts_) count = 0;
+  alarm_over_threshold_ = false;
   for (Cycle& since : free_high_since_) since = 0;
 }
 
 void Framework::reset() {
-  pending_.clear();
+  events_.clear();
   queues_.clear();
   ioq_.free_all();
   for (auto& module : modules_) module->reset();

@@ -6,14 +6,13 @@
 // calls the on_* methods as instructions move through the pipeline; the
 // machine ticks the framework once per cycle after the core.  Events pushed
 // by the core in cycle N become visible to modules in cycle N+1 (the input
-// latch of Table 3).
+// latch of Table 3), in the order the core pushed them.
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <variant>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -80,12 +79,11 @@ class Framework {
   void set_selfcheck_observer(std::function<void(SelfCheckVerdict, Cycle)> observer) {
     selfcheck_observer_ = std::move(observer);
   }
-  void set_selfcheck_config(SelfCheckConfig config) { selfcheck_ = config; }
+  void set_selfcheck_config(SelfCheckConfig config);
 
   // ---- pipeline-facing interface ----
   void on_dispatch(const DispatchInfo& info, Cycle now);
   void on_execute(const ExecuteInfo& info, Cycle now);
-  void on_mem_load(const MemoryInfo& info, Cycle now);
 
   /// Commit notification.  For stores, called before the value reaches
   /// memory; the returned stall is charged to the commit stage (SavePage).
@@ -135,36 +133,84 @@ class Framework {
     ar.field(queues_);
     ar.field(ioq_);
     ar.field(mau_);
-    ar.field(pending_);
+    ar.field(events_);
     ar.field(safe_mode_);
     ar.field(verdict_);
     ar.field(alarm_counts_);
     ar.field(alarm_window_start_);
+    ar.field(alarm_over_threshold_);
     ar.field(free_high_since_);
     ar.field(stats_);
   }
 
  private:
-  struct DispatchEvent {
-    DispatchInfo info;
+  /// One pipeline event on its way to the modules.  Every payload is
+  /// trivially copyable, so an event is a plain struct.
+  struct Event {
+    enum class Kind : u8 { kDispatch, kExecute, kCommit, kSquash };
+    Event() : squash{} {}
+    Kind kind = Kind::kSquash;
+    Cycle visible_from = 0;
+    union {
+      DispatchInfo dispatch;
+      ExecuteInfo execute;
+      CommitInfo commit;
+      InstrTag squash;
+    };
   };
-  struct ExecuteEvent {
-    ExecuteInfo info;
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  /// The events not yet delivered, oldest first: a ring of Events that
+  /// doubles when full, so pushing and delivering never allocate once it
+  /// has grown to the pipeline's width.
+  class EventStream {
+   public:
+    /// Append an event (its payload still to be filled in).
+    Event& push(Event::Kind kind, Cycle visible_from) {
+      if (size_ == ring_.size()) grow();
+      Event& event = ring_[(head_ + size_) & (ring_.size() - 1)];
+      ++size_;
+      event.kind = kind;
+      event.visible_from = visible_from;
+      return event;
+    }
+    bool empty() const { return size_ == 0; }
+    const Event& front() const { return ring_[head_]; }
+    void pop() {
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+    }
+    void clear() { head_ = size_ = 0; }
+
+    /// Snapshot hook: the undelivered events in order.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      u64 count = size_;
+      ar.field(count);
+      if constexpr (!Ar::kIsWriter) {
+        clear();
+        for (u64 i = 0; i < count; ++i) ar.field(push(Event::Kind::kSquash, 0));
+      } else {
+        for (u64 i = 0; i < count; ++i) ar.field(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+    }
+
+   private:
+    void grow() {
+      std::vector<Event> grown(ring_.empty() ? 64 : 2 * ring_.size());
+      for (std::size_t i = 0; i < size_; ++i) grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+      ring_.swap(grown);
+      head_ = 0;
+    }
+
+    std::vector<Event> ring_;  // size is 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
-  struct MemoryEvent {
-    MemoryInfo info;
-  };
-  struct CommitEvent {
-    CommitInfo info;
-  };
-  struct SquashEvent {
-    InstrTag tag;
-  };
-  using Event =
-      std::variant<DispatchEvent, ExecuteEvent, MemoryEvent, CommitEvent, SquashEvent>;
 
   void deliver(const Event& event, Cycle now);
   void handle_frame_chk(const isa::Instr& instr, Cycle now);
+  bool selfcheck_due(Cycle now) const;
   void run_selfcheck(Cycle now);
   void trip_selfcheck(SelfCheckVerdict verdict, Cycle now);
 
@@ -175,11 +221,7 @@ class Framework {
   std::vector<std::unique_ptr<Module>> modules_;
   std::array<Module*, isa::kNumModuleIds> by_id_{};
 
-  struct PendingEvent {
-    Event event;
-    Cycle visible_from;
-  };
-  std::deque<PendingEvent> pending_;
+  EventStream events_;
 
   // self-checking state
   SelfCheckConfig selfcheck_;
@@ -188,6 +230,7 @@ class Framework {
   std::function<void(SelfCheckVerdict, Cycle)> selfcheck_observer_;
   std::vector<u32> alarm_counts_;       // per-slot check 0->1 transitions in window
   Cycle alarm_window_start_ = 0;
+  bool alarm_over_threshold_ = false;   // some alarm_counts_ entry exceeds the threshold
   std::vector<Cycle> free_high_since_;  // per-slot: first cycle a free entry read as 1
 
   FrameworkStats stats_;

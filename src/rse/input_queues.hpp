@@ -1,15 +1,16 @@
-// The framework's input interface (paper section 3.1): one slot-indexed
-// register bank per pipeline tap (Fetch_Out, Regfile_Data, Execute_Out,
-// Memory_Out) plus the Commit_Out event stream.  Each bank has as many
-// entries as the re-order buffer.  Data latched from the pipeline becomes
-// visible to modules one cycle later (Table 3: "information passed by
-// pipeline is available to the framework only after a delay of one cycle").
+// The framework's input interface (paper section 3.1) that modules can read
+// by slot: the Fetch_Out register bank, which in this model also carries the
+// Regfile_Data operand values.  It has as many entries as the re-order
+// buffer.  Data latched from the pipeline becomes visible one cycle later
+// (Table 3: "information passed by pipeline is available to the framework
+// only after a delay of one cycle").  The other taps reach modules as the
+// framework's event stream with the same delay: Execute_Out through
+// Module::on_execute, Commit_Out through on_commit, and a load's value
+// (Memory_Out) in Commit_Out's `mem_value`.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "common/types.hpp"
 #include "rse/frame_types.hpp"
 
@@ -63,26 +64,17 @@ class LatchBank {
 };
 
 struct InputQueues {
-  explicit InputQueues(u32 entries)
-      : fetch_out(entries), execute_out(entries), memory_out(entries) {}
+  explicit InputQueues(u32 entries) : fetch_out(entries) {}
 
   // Fetch_Out carries the instruction bits and, in this model, the register
   // operand values (Regfile_Data) captured at dispatch.
   LatchBank<DispatchInfo> fetch_out;
-  LatchBank<ExecuteInfo> execute_out;
-  LatchBank<MemoryInfo> memory_out;
 
-  void clear() {
-    fetch_out.clear();
-    execute_out.clear();
-    memory_out.clear();
-  }
+  void clear() { fetch_out.clear(); }
 
   template <class Ar>
   void serialize_state(Ar& ar) {
     ar.field(fetch_out);
-    ar.field(execute_out);
-    ar.field(memory_out);
   }
 };
 

@@ -9,9 +9,12 @@
 //   checkValid=1 check=1  CHECK detected an error -> flush the pipeline
 //
 // The queue also hosts the stuck-at fault-injection hooks used by the
-// self-checking experiments of Table 2.
+// self-checking experiments of Table 2, and tells the self-checking watchdog
+// when a scan of its entries can find anything (unanswered_since,
+// stuck_fault_injected).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -43,6 +46,9 @@ class Ioq {
     Cycle last_valid_set = 0;
   };
 
+  /// unanswered_since() when no entry owes a result.
+  static constexpr Cycle kNoneUnanswered = ~Cycle{0};
+
   explicit Ioq(u32 entries) : entries_(entries) {}
 
   u32 size() const { return static_cast<u32>(entries_.size()); }
@@ -62,6 +68,7 @@ class Ioq {
     e.check = false;
     e.allocated_at = now;
     e.last_valid_set = now;
+    if (pending_check) unanswered_since_ = std::min(unanswered_since_, now);
   }
 
   /// Module writes its result.  In safe (decoupled) mode the framework
@@ -75,7 +82,11 @@ class Ioq {
     }
     e.check_valid = check_valid;
     e.check = check;
-    if (check_valid) e.last_valid_set = now;
+    if (check_valid) {
+      e.last_valid_set = now;
+    } else if (e.pending_check) {
+      unanswered_since_ = std::min(unanswered_since_, e.allocated_at);
+    }
   }
 
   void free(const InstrTag& tag) {
@@ -85,6 +96,22 @@ class Ioq {
 
   void free_all() {
     for (Entry& e : entries_) e = Entry{};
+    unanswered_since_ = kNoneUnanswered;
+  }
+
+  /// A lower bound on the allocation cycle of every entry that owes a
+  /// module result and has none yet (allocated, pending_check and a written
+  /// checkValid of 0), or kNoneUnanswered.  Answers, frees and squashes
+  /// leave it unchanged, so it can be too low but never too high;
+  /// refresh_unanswered() makes it exact.
+  Cycle unanswered_since() const { return unanswered_since_; }
+  void refresh_unanswered() {
+    unanswered_since_ = kNoneUnanswered;
+    for (const Entry& e : entries_) {
+      if (e.allocated && e.pending_check && !e.check_valid) {
+        unanswered_since_ = std::min(unanswered_since_, e.allocated_at);
+      }
+    }
   }
 
   /// The (checkValid, check) pair as seen by the commit unit, i.e. after any
@@ -119,22 +146,32 @@ class Ioq {
   void inject_stuck_fault(u32 slot, IoqStuckFault fault) {
     fault_slot_ = slot;
     fault_ = fault;
+    stuck_fault_injected_ = true;
   }
   IoqStuckFault injected_fault() const { return fault_; }
   u32 injected_fault_slot() const { return fault_slot_; }
+  /// True once inject_stuck_fault has been called, even if a later call
+  /// cleared the fault: what the watchdog learned about the faulty bits may
+  /// still need updating.
+  bool stuck_fault_injected() const { return stuck_fault_injected_; }
 
-  /// Snapshot hook: every entry plus the injected stuck-at fault state.
+  /// Snapshot hook: every entry, the injected stuck-at fault state and the
+  /// watchdog's unanswered bound.
   template <class Ar>
   void serialize_state(Ar& ar) {
     ar.field(entries_);
     ar.field(fault_);
     ar.field(fault_slot_);
+    ar.field(stuck_fault_injected_);
+    ar.field(unanswered_since_);
   }
 
  private:
   std::vector<Entry> entries_;
   IoqStuckFault fault_ = IoqStuckFault::kNone;
   u32 fault_slot_ = 0;
+  bool stuck_fault_injected_ = false;
+  Cycle unanswered_since_ = kNoneUnanswered;
 };
 
 }  // namespace rse::engine

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "../support/sim_runner.hpp"
+#include "isa/interpreter.hpp"
 
 namespace rse {
 namespace {
@@ -435,6 +441,168 @@ main:
   ASSERT_EQ(pcs.size(), 6u);
   for (std::size_t i = 1; i < pcs.size(); ++i) EXPECT_EQ(pcs[i], pcs[i - 1] + 4);
 }
+
+// ---- store-to-load forwarding through several in-flight stores
+//
+// Each row's stores sit behind a 20-cycle divide, so none of them has
+// committed when the loads after them dispatch.  Every byte a load reads
+// must come from the youngest older store that wrote it, or from memory
+// when no store did.  The data words start as bytes 11 22 33 44 and
+// 55 66 77 88.  The core must end each row with isa::Interpreter's register
+// file and data words; the comments give the values both should reach.
+
+struct ForwardingRow {
+  const char* name;
+  const char* body;  // runs with s0 = buf
+};
+
+void PrintTo(const ForwardingRow& row, std::ostream* os) { *os << row.name; }
+
+const std::vector<ForwardingRow>& forwarding_rows() {
+  static const std::vector<ForwardingRow> rows = {
+      {"two_byte_stores_to_one_byte_youngest_wins", R"(
+  li t0, 0x5A
+  li t1, 0xA5
+  sb t0, 1(s0)
+  sb t1, 1(s0)
+  lbu a0, 1(s0)      # 0x000000A5
+  lb a1, 1(s0)       # 0xFFFFFFA5
+  lh a2, 0(s0)       # 0xFFFFA511
+  lw a3, 0(s0)       # 0x4433A511
+)"},
+      {"half_store_under_word_load", R"(
+  li t0, 0x1234CDEF
+  sh t0, 2(s0)
+  lw a0, 0(s0)       # 0xCDEF2211
+  lhu a1, 2(s0)      # 0x0000CDEF
+  lh a2, 2(s0)       # 0xFFFFCDEF
+  lb a3, 3(s0)       # 0xFFFFFFCD
+  lhu v1, 0(s0)      # 0x00002211, memory only
+)"},
+      {"narrower_stores_over_a_word_store", R"(
+  li t0, 0xA1A2A3A4
+  li t1, 0xB1B2
+  li t2, 0xC1
+  sw t0, 4(s0)
+  sh t1, 4(s0)
+  sb t2, 5(s0)
+  lw a0, 4(s0)       # 0xA1A2C1B2
+  lhu a1, 4(s0)      # 0x0000C1B2
+  lbu a2, 7(s0)      # 0x000000A1
+  lb a3, 6(s0)       # 0xFFFFFFA2
+)"},
+      {"stored_bytes_mixed_with_memory_bytes", R"(
+  li t0, 0xE1
+  li t1, 0xF1F2
+  sb t0, 0(s0)
+  sh t1, 6(s0)
+  sb t0, 2(s0)
+  lw a0, 0(s0)       # 0x44E122E1
+  lw a1, 4(s0)       # 0xF1F26655
+  lh a2, 2(s0)       # 0x000044E1
+  lhu a3, 0(s0)      # 0x000022E1
+  lbu v1, 5(s0)      # 0x00000066, memory only
+)"},
+      {"word_store_shadows_an_older_byte_store", R"(
+  li t0, 0x5A
+  li t1, 0x01020304
+  sb t0, 3(s0)
+  sw t1, 0(s0)
+  lbu a0, 3(s0)      # 0x00000001
+  sb t0, 0(s0)
+  lw a1, 0(s0)       # 0x0102035A
+  lh a2, 2(s0)       # 0x00000102
+)"},
+  };
+  return rows;
+}
+
+struct ForwardingRun {
+  std::array<Word, isa::kNumRegs> regs{};
+  Word word0 = 0;
+  Word word1 = 0;
+};
+
+isa::Program forwarding_program(const ForwardingRow& row) {
+  return isa::assemble(std::string(R"(
+.data
+.align 4
+buf: .word 0x44332211, 0x88776655
+.text
+main:
+  la s0, buf
+  li t8, 1000
+  li t9, 7
+  div t7, t8, t9     # commit waits for it; the stores below stay in flight
+)") + row.body + R"(
+  syscall
+)");
+}
+
+void load_program(mem::MainMemory& memory, const isa::Program& program) {
+  for (std::size_t i = 0; i < program.text.size(); ++i) {
+    memory.write_u32(program.text_base + static_cast<Addr>(i * 4), program.text[i]);
+  }
+  memory.write_block(program.data_base, program.data.data(),
+                     static_cast<u32>(program.data.size()));
+}
+
+ForwardingRun run_on_interpreter(const isa::Program& program) {
+  mem::MainMemory memory;
+  load_program(memory, program);
+  isa::Interpreter interp(memory);
+  interp.set_pc(program.entry);
+  interp.set_syscall_handler([](isa::Interpreter&) { return false; });
+  EXPECT_EQ(interp.run(10'000), isa::Interpreter::Stop::kHandlerStop);
+  return {interp.regs(), memory.read_u32(program.data_base),
+          memory.read_u32(program.data_base + 4)};
+}
+
+/// The core's OS side: the first syscall ends the run.
+class StopAtSyscall : public cpu::OsClient {
+ public:
+  bool stopped = false;
+  SyscallResult on_syscall(Cycle) override {
+    stopped = true;
+    return {0, /*suspend=*/true};
+  }
+  bool on_check_error(Cycle, Addr, isa::ModuleId) override { return true; }
+  void on_illegal(Cycle, Addr) override { stopped = true; }
+};
+
+ForwardingRun run_on_core(const isa::Program& program) {
+  os::Machine machine;
+  load_program(machine.memory(), program);
+  StopAtSyscall os;
+  cpu::Core& core = machine.core();
+  core.set_os(&os);
+  cpu::ThreadContext context;
+  context.pc = program.entry;
+  core.set_context(context, 0);
+  core.resume();
+  while (!os.stopped && machine.now() < 10'000) machine.step();
+  EXPECT_TRUE(os.stopped) << "the core never reached the syscall";
+  return {core.context().regs, machine.memory().read_u32(program.data_base),
+          machine.memory().read_u32(program.data_base + 4)};
+}
+
+class StoreForwarding : public ::testing::TestWithParam<ForwardingRow> {};
+
+TEST_P(StoreForwarding, CoreMatchesTheInterpreter) {
+  const isa::Program program = forwarding_program(GetParam());
+  const ForwardingRun want = run_on_interpreter(program);
+  const ForwardingRun got = run_on_core(program);
+  for (u8 r = 0; r < isa::kNumRegs; ++r) {
+    EXPECT_EQ(got.regs[r], want.regs[r]) << "r" << static_cast<int>(r);
+  }
+  EXPECT_EQ(got.word0, want.word0) << "first data word";
+  EXPECT_EQ(got.word1, want.word1) << "second data word";
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, StoreForwarding, ::testing::ValuesIn(forwarding_rows()),
+                         [](const ::testing::TestParamInfo<ForwardingRow>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace rse
