@@ -13,10 +13,6 @@
 namespace rse::isa {
 namespace {
 
-struct Token {
-  std::string text;
-};
-
 /// Split a statement into mnemonic + comma-separated operand strings.
 struct Statement {
   std::string mnemonic;
@@ -147,6 +143,21 @@ Value parse_value(const std::string& raw) {
   return Value{std::nullopt, t, 0};
 }
 
+/// True when `value` fits an immediate field of kind `kind`.
+constexpr bool fits(ImmKind kind, i64 value) {
+  return kind == ImmKind::kZero ? value >= 0 && value <= 0xFFFF
+                                : value >= -32768 && value <= 32767;
+}
+
+Instr i_type(Op op, u8 rt, u8 rs, i64 imm) {
+  Instr in;
+  in.op = op;
+  in.rt = rt;
+  in.rs = rs;
+  in.imm = static_cast<i32>(imm);
+  return in;
+}
+
 // A single source line, pre-parsed.
 struct Line {
   int number = 0;
@@ -227,6 +238,13 @@ struct Asm {
 
   enum class Seg { kText, kData };
 
+  /// True for the label form of a load or store, "lw rt, label", which
+  /// expands to two instructions through $at.
+  static bool is_label_form(const Statement& st) {
+    return st.operands.size() == 2 && st.operands[1].find('(') == std::string::npos &&
+           !parse_int(st.operands[1]);
+  }
+
   /// Number of machine instructions a (pseudo-)instruction expands to.
   unsigned instr_size(const Statement& st, int line) const {
     const std::string& m = st.mnemonic;
@@ -235,18 +253,10 @@ struct Asm {
       if (st.operands.size() != 2) fail(line, "li needs 2 operands");
       auto v = parse_int(st.operands[1]);
       if (!v) fail(line, "li needs a literal immediate");
-      return (*v >= -32768 && *v <= 32767) ? 1 : 2;
+      return fits(op_info(Op::kAddi).imm, *v) ? 1 : 2;  // one addi, or lui + ori
     }
-    if (m == "lw" || m == "sw" || m == "lb" || m == "sb" || m == "lh" || m == "sh" ||
-        m == "lbu" || m == "lhu") {
-      // "lw rt, label" pseudo-form takes 2 instructions
-      if (st.operands.size() == 2 && st.operands[1].find('(') == std::string::npos &&
-          !parse_int(st.operands[1])) {
-        return 2;
-      }
-      return 1;
-    }
-    return 1;
+    const Format format = op_info(op_named(m)).format;
+    return (format == Format::kLoad || format == Format::kStore) && is_label_form(st) ? 2 : 1;
   }
 
   void pass1() {
@@ -318,38 +328,22 @@ struct Asm {
 
   void emit(Instr in) { prog.text.push_back(encode(in)); }
 
-  void emit_i(Op op, u8 rt, u8 rs, i64 imm, int line) {
-    if (imm < -32768 || imm > 65535) fail(line, "immediate out of range");
-    Instr in;
-    in.op = op;
-    in.rt = rt;
-    in.rs = rs;
-    in.imm = static_cast<i32>(sign_extend(static_cast<u32>(imm) & 0xFFFFu, 16));
-    emit(in);
-  }
-
-  void emit_r(Op op, u8 rd, u8 rs, u8 rt) {
-    Instr in;
-    in.op = op;
-    in.rd = rd;
-    in.rs = rs;
-    in.rt = rt;
-    emit(in);
+  /// `value` as the immediate field of `op`; fails unless the row's
+  /// immediate kind admits it.
+  i32 immediate(Op op, i64 value, int line) const {
+    const OpInfo& row = op_info(op);
+    if (!fits(row.imm, value)) {
+      fail(line, "immediate " + std::to_string(value) + " out of range for " +
+                     std::string(row.mnemonic) +
+                     (row.imm == ImmKind::kZero ? " (0..65535)" : " (-32768..32767)"));
+    }
+    return static_cast<i32>(value);
   }
 
   void emit_load_addr(u8 rt, Addr addr) {
     // lui rt, hi; ori rt, rt, lo
-    Instr lui;
-    lui.op = Op::kLui;
-    lui.rt = rt;
-    lui.imm = static_cast<i32>(sign_extend((addr >> 16) & 0xFFFFu, 16));
-    emit(lui);
-    Instr ori;
-    ori.op = Op::kOri;
-    ori.rt = rt;
-    ori.rs = rt;
-    ori.imm = static_cast<i32>(sign_extend(addr & 0xFFFFu, 16));
-    emit(ori);
+    emit(i_type(Op::kLui, rt, 0, addr >> 16));
+    emit(i_type(Op::kOri, rt, rt, addr & 0xFFFFu));
   }
 
   /// Parse "off(reg)" or "(reg)" memory operand.
@@ -376,182 +370,159 @@ struct Asm {
     return MemOperand{*r, offset};
   }
 
-  void assemble_mem(Op op, const Statement& st, Addr, int line) {
+  void assemble_mem(Op op, const Statement& st, int line) {
     const u8 rt = reg_operand(st, 0, line);
-    if (st.operands.size() != 2) fail(line, "memory op needs 2 operands");
     if (auto mem = parse_mem(st.operands[1])) {
-      emit_i(op, rt, mem->base, mem->offset, line);
-      return;
+      emit(i_type(op, rt, mem->base, immediate(op, mem->offset, line)));
+    } else if (auto v = parse_int(st.operands[1])) {
+      emit(i_type(op, rt, 0, immediate(op, *v, line)));  // absolute small address
+    } else {
+      // label form: lui at, hi(label); op rt, lo(label)(at), with hi rounded
+      // up when lo is negative as a signed 16-bit offset
+      const Addr addr = resolve(parse_value(st.operands[1]), line);
+      const i32 lo = sign_extend(addr & 0xFFFFu, 16);
+      emit(i_type(Op::kLui, kAt, 0, (addr >> 16) + (lo < 0 ? 1 : 0)));
+      emit(i_type(op, rt, kAt, lo));
     }
-    if (auto v = parse_int(st.operands[1])) {
-      emit_i(op, rt, 0, *v, line);  // absolute small address
-      return;
-    }
-    // label form: lui at, hi(label); op rt, lo(label)(at)
-    const Addr addr = resolve(parse_value(st.operands[1]), line);
-    Instr lui;
-    lui.op = Op::kLui;
-    lui.rt = kAt;
-    lui.imm = static_cast<i32>(sign_extend((addr >> 16) & 0xFFFFu, 16));
-    // adjust hi if low part is "negative" as a signed 16-bit offset
-    const i32 lo = sign_extend(addr & 0xFFFFu, 16);
-    if (lo < 0) lui.imm = static_cast<i32>(sign_extend(((addr >> 16) + 1) & 0xFFFFu, 16));
-    emit(lui);
-    emit_i(op, rt, kAt, lo, line);
   }
 
-  void assemble_branch(Op op, const Statement& st, Addr pc, int line) {
-    if (st.operands.size() != 3) fail(line, "branch needs 3 operands");
-    const u8 rs = reg_operand(st, 0, line);
-    const u8 rt = reg_operand(st, 1, line);
-    const Addr target = resolve(parse_value(st.operands[2]), line);
-    const i64 diff = (static_cast<i64>(target) - static_cast<i64>(pc) - 4) / 4;
-    if (diff < -32768 || diff > 32767) fail(line, "branch target out of range");
+  void emit_branch(Op op, u8 rs, u8 rt, const std::string& label, Addr pc, int line) {
+    const Addr target = resolve(parse_value(label), line);
+    const i64 offset = (static_cast<i64>(target) - static_cast<i64>(pc) - 4) / 4;
+    if (!fits(op_info(op).imm, offset)) fail(line, "branch target out of range");
+    emit(i_type(op, rt, rs, offset));
+  }
+
+  /// A machine instruction, its operands read in the order its row's format
+  /// gives.
+  void assemble_op(Op op, const Statement& st, Addr pc, int line) {
+    const OpInfo& row = op_info(op);
+    const std::size_t count = st.operands.size();
+    auto need = [&](std::size_t n) {
+      if (count != n) fail(line, st.mnemonic + " needs " + std::to_string(n) + " operand(s)");
+    };
+    auto reg = [&](std::size_t i) { return reg_operand(st, i, line); };
+    auto imm = [&](std::size_t i) { return immediate(op, int_operand(st, i, line), line); };
     Instr in;
     in.op = op;
-    in.rs = rs;
-    in.rt = rt;
-    in.imm = static_cast<i32>(diff);
+    switch (row.format) {
+      case Format::kUnknown:
+        fail(line, "unknown mnemonic '" + st.mnemonic + "'");
+      case Format::kNone:
+        need(0);
+        break;
+      case Format::kRdRsRt:
+        need(3);
+        in.rd = reg(0);
+        in.rs = reg(1);
+        in.rt = reg(2);
+        break;
+      case Format::kRdRtRs:
+        need(3);
+        in.rd = reg(0);
+        in.rt = reg(1);
+        in.rs = reg(2);
+        break;
+      case Format::kRdRtSa: {
+        need(3);
+        in.rd = reg(0);
+        in.rt = reg(1);
+        const i64 sh = int_operand(st, 2, line);
+        if (sh < 0 || sh > 31) fail(line, "shift amount out of range");
+        in.shamt = static_cast<u8>(sh);
+        break;
+      }
+      case Format::kRs:
+        need(1);
+        in.rs = reg(0);
+        break;
+      case Format::kRdRs:  // "jalr rs" links through ra
+        if (count != 1) need(2);
+        in.rd = count == 1 ? u8{kRa} : reg(0);
+        in.rs = reg(count - 1);
+        break;
+      case Format::kRtRsImm:
+        need(3);
+        in.rt = reg(0);
+        in.rs = reg(1);
+        in.imm = imm(2);
+        break;
+      case Format::kRtImm:
+        need(2);
+        in.rt = reg(0);
+        in.imm = imm(1);
+        break;
+      case Format::kLoad:
+      case Format::kStore:
+        need(2);
+        assemble_mem(op, st, line);
+        return;
+      case Format::kBranch:
+        need(3);
+        emit_branch(op, reg(0), reg(1), st.operands[2], pc, line);
+        return;
+      case Format::kJump:
+      case Format::kCall: {
+        need(1);
+        const Addr target = resolve(parse_value(st.operands[0]), line);
+        if (target % 4 != 0) fail(line, "misaligned jump target");
+        if (target >> 28 != 0) fail(line, "jump target out of range");
+        in.target = target >> 2;
+        break;
+      }
+      case Format::kChk: {
+        need(5);
+        auto mod = parse_module(st.operands[0]);
+        if (!mod) fail(line, "bad module '" + st.operands[0] + "'");
+        in.chk_module = *mod;
+        const i64 opn = int_operand(st, 1, line);
+        if (opn < 0 || opn > 31) fail(line, "chk op out of range");
+        in.chk_op = static_cast<u8>(opn);
+        const std::string blk = lower(trim(st.operands[2]));
+        if (blk != "blk" && blk != "nblk") fail(line, "expected blk or nblk");
+        in.chk_blocking = blk == "blk";
+        in.rs = reg(3);
+        const i64 chk_imm = int_operand(st, 4, line);
+        if (chk_imm < 0 || chk_imm > 0xFFF) fail(line, "chk imm out of range");
+        in.chk_imm = static_cast<u16>(chk_imm);
+        break;
+      }
+    }
     emit(in);
   }
 
   void assemble_instr(const Statement& st, Addr pc, int line) {
     const std::string& m = st.mnemonic;
-    auto simple_r3 = [&](Op op) {
-      emit_r(op, reg_operand(st, 0, line), reg_operand(st, 1, line), reg_operand(st, 2, line));
-    };
-    auto simple_i = [&](Op op) {
-      emit_i(op, reg_operand(st, 0, line), reg_operand(st, 1, line), int_operand(st, 2, line),
-             line);
-    };
-
+    // The pseudo-instructions; every other mnemonic names an opcode table row.
     if (m == "nop") {
       prog.text.push_back(kNopEncoding);
-    } else if (m == "add") simple_r3(Op::kAdd);
-    else if (m == "sub") simple_r3(Op::kSub);
-    else if (m == "and") simple_r3(Op::kAnd);
-    else if (m == "or") simple_r3(Op::kOr);
-    else if (m == "xor") simple_r3(Op::kXor);
-    else if (m == "nor") simple_r3(Op::kNor);
-    else if (m == "slt") simple_r3(Op::kSlt);
-    else if (m == "sltu") simple_r3(Op::kSltu);
-    else if (m == "mul") simple_r3(Op::kMul);
-    else if (m == "mulh") simple_r3(Op::kMulh);
-    else if (m == "div") simple_r3(Op::kDiv);
-    else if (m == "rem") simple_r3(Op::kRem);
-    else if (m == "sllv") simple_r3(Op::kSllv);
-    else if (m == "srlv") simple_r3(Op::kSrlv);
-    else if (m == "srav") simple_r3(Op::kSrav);
-    else if (m == "sll" || m == "srl" || m == "sra") {
-      Instr in;
-      in.op = m == "sll" ? Op::kSll : m == "srl" ? Op::kSrl : Op::kSra;
-      in.rd = reg_operand(st, 0, line);
-      in.rt = reg_operand(st, 1, line);
-      const i64 sh = int_operand(st, 2, line);
-      if (sh < 0 || sh > 31) fail(line, "shift amount out of range");
-      in.shamt = static_cast<u8>(sh);
-      emit(in);
-    } else if (m == "addi") simple_i(Op::kAddi);
-    else if (m == "andi") simple_i(Op::kAndi);
-    else if (m == "ori") simple_i(Op::kOri);
-    else if (m == "xori") simple_i(Op::kXori);
-    else if (m == "slti") simple_i(Op::kSlti);
-    else if (m == "sltiu") simple_i(Op::kSltiu);
-    else if (m == "lui") {
-      Instr in;
-      in.op = Op::kLui;
-      in.rt = reg_operand(st, 0, line);
-      in.imm = static_cast<i32>(sign_extend(static_cast<u32>(int_operand(st, 1, line)) & 0xFFFFu, 16));
-      emit(in);
-    } else if (m == "lw") assemble_mem(Op::kLw, st, pc, line);
-    else if (m == "lb") assemble_mem(Op::kLb, st, pc, line);
-    else if (m == "lbu") assemble_mem(Op::kLbu, st, pc, line);
-    else if (m == "lh") assemble_mem(Op::kLh, st, pc, line);
-    else if (m == "lhu") assemble_mem(Op::kLhu, st, pc, line);
-    else if (m == "sw") assemble_mem(Op::kSw, st, pc, line);
-    else if (m == "sb") assemble_mem(Op::kSb, st, pc, line);
-    else if (m == "sh") assemble_mem(Op::kSh, st, pc, line);
-    else if (m == "beq") assemble_branch(Op::kBeq, st, pc, line);
-    else if (m == "bne") assemble_branch(Op::kBne, st, pc, line);
-    else if (m == "blt") assemble_branch(Op::kBlt, st, pc, line);
-    else if (m == "bge") assemble_branch(Op::kBge, st, pc, line);
-    else if (m == "bltu") assemble_branch(Op::kBltu, st, pc, line);
-    else if (m == "bgeu") assemble_branch(Op::kBgeu, st, pc, line);
-    else if (m == "beqz" || m == "bnez") {
-      if (st.operands.size() != 2) fail(line, m + " needs 2 operands");
-      Statement expanded;
-      expanded.mnemonic = m == "beqz" ? "beq" : "bne";
-      expanded.operands = {st.operands[0], "r0", st.operands[1]};
-      assemble_branch(expanded.mnemonic == "beq" ? Op::kBeq : Op::kBne, expanded, pc, line);
-    } else if (m == "b") {
-      if (st.operands.size() != 1) fail(line, "b needs 1 operand");
-      Statement expanded;
-      expanded.operands = {"r0", "r0", st.operands[0]};
-      assemble_branch(Op::kBeq, expanded, pc, line);
-    } else if (m == "j" || m == "jal") {
-      if (st.operands.size() != 1) fail(line, "jump needs 1 operand");
-      const Addr target = resolve(parse_value(st.operands[0]), line);
-      if (target % 4 != 0) fail(line, "misaligned jump target");
-      Instr in;
-      in.op = m == "j" ? Op::kJ : Op::kJal;
-      in.target = (target >> 2) & 0x03FF'FFFFu;
-      emit(in);
-    } else if (m == "jr") {
-      Instr in;
-      in.op = Op::kJr;
-      in.rs = reg_operand(st, 0, line);
-      emit(in);
-    } else if (m == "jalr") {
-      Instr in;
-      in.op = Op::kJalr;
-      if (st.operands.size() == 1) {
-        in.rd = kRa;
-        in.rs = reg_operand(st, 0, line);
-      } else {
-        in.rd = reg_operand(st, 0, line);
-        in.rs = reg_operand(st, 1, line);
-      }
-      emit(in);
-    } else if (m == "syscall") {
-      Instr in;
-      in.op = Op::kSyscall;
-      emit(in);
-    } else if (m == "chk") {
-      if (st.operands.size() != 5) fail(line, "chk needs 5 operands: module, op, blk|nblk, reg, imm");
-      Instr in;
-      in.op = Op::kChk;
-      auto mod = parse_module(st.operands[0]);
-      if (!mod) fail(line, "bad module '" + st.operands[0] + "'");
-      in.chk_module = *mod;
-      const i64 opn = int_operand(st, 1, line);
-      if (opn < 0 || opn > 31) fail(line, "chk op out of range");
-      in.chk_op = static_cast<u8>(opn);
-      const std::string blk = lower(trim(st.operands[2]));
-      if (blk == "blk") in.chk_blocking = true;
-      else if (blk == "nblk") in.chk_blocking = false;
-      else fail(line, "expected blk or nblk");
-      in.rs = reg_operand(st, 3, line);
-      const i64 imm = int_operand(st, 4, line);
-      if (imm < 0 || imm > 0xFFF) fail(line, "chk imm out of range");
-      in.chk_imm = static_cast<u16>(imm);
-      emit(in);
     } else if (m == "li") {
       const u8 rt = reg_operand(st, 0, line);
       const i64 v = int_operand(st, 1, line);
-      if (v >= -32768 && v <= 32767) {
-        emit_i(Op::kAddi, rt, 0, v, line);
+      if (fits(op_info(Op::kAddi).imm, v)) {
+        emit(i_type(Op::kAddi, rt, 0, v));
       } else {
-        emit_load_addr(rt, static_cast<Addr>(static_cast<u32>(v)));
+        emit_load_addr(rt, static_cast<Addr>(v));
       }
     } else if (m == "la") {
       const u8 rt = reg_operand(st, 0, line);
       if (st.operands.size() != 2) fail(line, "la needs 2 operands");
-      const Addr addr = resolve(parse_value(st.operands[1]), line);
-      emit_load_addr(rt, addr);
+      emit_load_addr(rt, resolve(parse_value(st.operands[1]), line));
     } else if (m == "move") {
-      emit_r(Op::kAdd, reg_operand(st, 0, line), reg_operand(st, 1, line), 0);
+      Instr in;
+      in.op = Op::kAdd;
+      in.rd = reg_operand(st, 0, line);
+      in.rs = reg_operand(st, 1, line);
+      emit(in);
+    } else if (m == "b") {
+      if (st.operands.size() != 1) fail(line, "b needs 1 operand");
+      emit_branch(Op::kBeq, 0, 0, st.operands[0], pc, line);
+    } else if (m == "beqz" || m == "bnez") {
+      if (st.operands.size() != 2) fail(line, m + " needs 2 operands");
+      emit_branch(m == "beqz" ? Op::kBeq : Op::kBne, reg_operand(st, 0, line), 0,
+                  st.operands[1], pc, line);
     } else {
-      fail(line, "unknown mnemonic '" + m + "'");
+      assemble_op(op_named(m), st, pc, line);
     }
   }
 

@@ -14,8 +14,12 @@
 // label-addressed memory forms "lw rt, label" / "sw rt, label" (expand via
 // the assembler temporary register $at).
 //
+// Machine instructions take their operands in the order of their opcode
+// table row's format (isa/instruction.hpp).  An immediate must fit its field:
+// -32768..32767 where it is sign-extended, 0..65535 where it is zero-extended.
+//
 // CHK syntax:  chk <module>, <op#>, blk|nblk, <reg>, <imm12>
-// where <module> is one of frame|icm|mlr|ddt|ahbm or a number 0..7.
+// where <module> is one of frame|icm|mlr|ddt|ahbm|cfc or a number 0..7.
 #pragma once
 
 #include <string>

@@ -12,10 +12,18 @@
 // The CHK parameter travels in a register so that the RSE picks it up from
 // the Regfile_Data input queue, exactly as the framework's input interface
 // is described in section 3.1.
+//
+// Every per-opcode fact except the semantics (isa::execute, semantics.hpp)
+// is written once, in the opcode table kOps below: one row per Op, as
+// SimpleScalar's machine.def holds one DEFINST row per instruction.  Decode,
+// encode, disassembly, the assembler and the pipeline's class, source and
+// destination queries all read it.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 
@@ -94,9 +102,10 @@ enum class Op : u8 {
   kBgeu,
   kJ,
   kJal,
-  // RSE extension
+  // RSE extension (the last op)
   kChk,
 };
+inline constexpr unsigned kNumOps = static_cast<unsigned>(Op::kChk) + 1;
 
 /// Coarse class used by the pipeline to route an instruction to a
 /// functional unit and by the RSE to recognize memory/control instructions.
@@ -123,6 +132,114 @@ enum class ModuleId : u8 {
 };
 inline constexpr unsigned kNumModuleIds = 6;
 
+/// Operand layout: the order in which the assembler reads and the
+/// disassembler prints an instruction's operands, and which registers it
+/// reads and writes.
+enum class Format : u8 {
+  kUnknown,  // an unassigned encoding (Op::kInvalid)
+  kNone,     // no operands
+  kRdRsRt,   // rd, rs, rt
+  kRdRtRs,   // rd, rt, rs       shift rt by rs
+  kRdRtSa,   // rd, rt, shamt
+  kRs,       // rs
+  kRdRs,     // [rd,] rs         rd defaults to ra
+  kRtRsImm,  // rt, rs, imm
+  kRtImm,    // rt, imm
+  kLoad,     // rt, imm(rs)      writes rt
+  kStore,    // rt, imm(rs)      reads rt
+  kBranch,   // rs, rt, label
+  kJump,     // label
+  kCall,     // label            writes ra
+  kChk,      // module, op, blk|nblk, rs, imm12
+};
+
+/// R-type formats share primary opcode 0; their function code names the op.
+constexpr bool is_r_type(Format f) {
+  return f == Format::kNone || f == Format::kRdRsRt || f == Format::kRdRtRs ||
+         f == Format::kRdRtSa || f == Format::kRs || f == Format::kRdRs;
+}
+
+/// How an instruction's 16-bit immediate or offset field reaches 32 bits,
+/// which also bounds the values the assembler accepts for it.
+enum class ImmKind : u8 {
+  kNone,
+  kSigned,  // sign-extended: -32768..32767
+  kZero,    // zero-extended: 0..65535
+};
+
+/// One row of the opcode table.
+struct OpInfo {
+  std::string_view mnemonic;
+  Format format;
+  OpClass op_class;
+  u8 code;  // primary opcode; the function code for R-type formats
+  ImmKind imm;
+  u8 access_size;  // bytes a load or store accesses; 0 for every other op
+};
+
+/// The opcode table, one row per Op in enum order.
+inline constexpr auto kOps = std::to_array<OpInfo>({
+    // mnemonic   format            class              code  immediate         size
+    {"<invalid>", Format::kUnknown, OpClass::kNop,     0x00, ImmKind::kNone,   0},
+    {"sll",       Format::kRdRtSa,  OpClass::kIntAlu,  0x00, ImmKind::kNone,   0},
+    {"srl",       Format::kRdRtSa,  OpClass::kIntAlu,  0x02, ImmKind::kNone,   0},
+    {"sra",       Format::kRdRtSa,  OpClass::kIntAlu,  0x03, ImmKind::kNone,   0},
+    {"sllv",      Format::kRdRtRs,  OpClass::kIntAlu,  0x04, ImmKind::kNone,   0},
+    {"srlv",      Format::kRdRtRs,  OpClass::kIntAlu,  0x06, ImmKind::kNone,   0},
+    {"srav",      Format::kRdRtRs,  OpClass::kIntAlu,  0x07, ImmKind::kNone,   0},
+    {"add",       Format::kRdRsRt,  OpClass::kIntAlu,  0x20, ImmKind::kNone,   0},
+    {"sub",       Format::kRdRsRt,  OpClass::kIntAlu,  0x22, ImmKind::kNone,   0},
+    {"and",       Format::kRdRsRt,  OpClass::kIntAlu,  0x24, ImmKind::kNone,   0},
+    {"or",        Format::kRdRsRt,  OpClass::kIntAlu,  0x25, ImmKind::kNone,   0},
+    {"xor",       Format::kRdRsRt,  OpClass::kIntAlu,  0x26, ImmKind::kNone,   0},
+    {"nor",       Format::kRdRsRt,  OpClass::kIntAlu,  0x27, ImmKind::kNone,   0},
+    {"slt",       Format::kRdRsRt,  OpClass::kIntAlu,  0x2A, ImmKind::kNone,   0},
+    {"sltu",      Format::kRdRsRt,  OpClass::kIntAlu,  0x2B, ImmKind::kNone,   0},
+    {"mul",       Format::kRdRsRt,  OpClass::kIntMul,  0x18, ImmKind::kNone,   0},
+    {"mulh",      Format::kRdRsRt,  OpClass::kIntMul,  0x19, ImmKind::kNone,   0},
+    {"div",       Format::kRdRsRt,  OpClass::kIntMul,  0x1A, ImmKind::kNone,   0},
+    {"rem",       Format::kRdRsRt,  OpClass::kIntMul,  0x1B, ImmKind::kNone,   0},
+    {"jr",        Format::kRs,      OpClass::kJump,    0x08, ImmKind::kNone,   0},
+    {"jalr",      Format::kRdRs,    OpClass::kJump,    0x09, ImmKind::kNone,   0},
+    {"syscall",   Format::kNone,    OpClass::kSyscall, 0x0C, ImmKind::kNone,   0},
+    {"addi",      Format::kRtRsImm, OpClass::kIntAlu,  0x08, ImmKind::kSigned, 0},
+    {"andi",      Format::kRtRsImm, OpClass::kIntAlu,  0x0C, ImmKind::kZero,   0},
+    {"ori",       Format::kRtRsImm, OpClass::kIntAlu,  0x0D, ImmKind::kZero,   0},
+    {"xori",      Format::kRtRsImm, OpClass::kIntAlu,  0x0E, ImmKind::kZero,   0},
+    {"slti",      Format::kRtRsImm, OpClass::kIntAlu,  0x0A, ImmKind::kSigned, 0},
+    {"sltiu",     Format::kRtRsImm, OpClass::kIntAlu,  0x0B, ImmKind::kSigned, 0},
+    {"lui",       Format::kRtImm,   OpClass::kIntAlu,  0x0F, ImmKind::kZero,   0},
+    {"lw",        Format::kLoad,    OpClass::kLoad,    0x23, ImmKind::kSigned, 4},
+    {"lb",        Format::kLoad,    OpClass::kLoad,    0x20, ImmKind::kSigned, 1},
+    {"lbu",       Format::kLoad,    OpClass::kLoad,    0x24, ImmKind::kSigned, 1},
+    {"lh",        Format::kLoad,    OpClass::kLoad,    0x21, ImmKind::kSigned, 2},
+    {"lhu",       Format::kLoad,    OpClass::kLoad,    0x25, ImmKind::kSigned, 2},
+    {"sw",        Format::kStore,   OpClass::kStore,   0x2B, ImmKind::kSigned, 4},
+    {"sb",        Format::kStore,   OpClass::kStore,   0x28, ImmKind::kSigned, 1},
+    {"sh",        Format::kStore,   OpClass::kStore,   0x29, ImmKind::kSigned, 2},
+    {"beq",       Format::kBranch,  OpClass::kBranch,  0x04, ImmKind::kSigned, 0},
+    {"bne",       Format::kBranch,  OpClass::kBranch,  0x05, ImmKind::kSigned, 0},
+    {"blt",       Format::kBranch,  OpClass::kBranch,  0x06, ImmKind::kSigned, 0},
+    {"bge",       Format::kBranch,  OpClass::kBranch,  0x07, ImmKind::kSigned, 0},
+    {"bltu",      Format::kBranch,  OpClass::kBranch,  0x10, ImmKind::kSigned, 0},
+    {"bgeu",      Format::kBranch,  OpClass::kBranch,  0x11, ImmKind::kSigned, 0},
+    {"j",         Format::kJump,    OpClass::kJump,    0x02, ImmKind::kNone,   0},
+    {"jal",       Format::kCall,    OpClass::kJump,    0x03, ImmKind::kNone,   0},
+    {"chk",       Format::kChk,     OpClass::kChk,     0x3E, ImmKind::kNone,   0},
+});
+static_assert(kOps.size() == kNumOps, "one opcode table row per Op");
+
+constexpr const OpInfo& op_info(Op op) { return kOps[static_cast<u8>(op)]; }
+
+/// The op spelled `mnemonic`, or kInvalid when no instruction is (the
+/// assembler's pseudo-instructions and directives included).
+constexpr Op op_named(std::string_view mnemonic) {
+  for (unsigned i = 1; i < kNumOps; ++i) {
+    if (kOps[i].mnemonic == mnemonic) return static_cast<Op>(i);
+  }
+  return Op::kInvalid;
+}
+
 /// Fully decoded instruction.  The raw encoding is kept because the ICM
 /// compares instruction binaries bit-for-bit.
 struct Instr {
@@ -141,7 +258,10 @@ struct Instr {
   u8 chk_op = 0;     // module-specific operation selector (5 bits)
   u16 chk_imm = 0;   // config options (12 bits)
 
-  OpClass op_class() const;
+  OpClass op_class() const {
+    if (op == Op::kSll && rd == 0 && rt == 0 && shamt == 0) return OpClass::kNop;
+    return op_info(op).op_class;
+  }
 
   /// Destination register written by this instruction, or nullopt.
   std::optional<u8> dest_reg() const;
@@ -171,7 +291,8 @@ Instr decode(Word raw);
 /// and by fault-injection tests).  Precondition: op != kInvalid.
 Word encode(const Instr& instr);
 
-/// Human-readable disassembly, e.g. "add r3, r1, r2".
+/// Human-readable disassembly with operands in the assembler's order, e.g.
+/// "add r3, r1, r2"; a branch shows its word offset rather than a label.
 std::string disassemble(const Instr& instr);
 
 /// Canonical NOP encoding (sll r0, r0, 0).

@@ -35,23 +35,7 @@ constexpr Addr branch_target(Addr pc, const Instr& in) {
 constexpr Addr jump_target(const Instr& in) { return in.target << 2; }
 
 /// Bytes a load or store accesses; 0 for every other op.
-constexpr u32 access_size(Op op) {
-  switch (op) {
-    case Op::kLw:
-    case Op::kSw:
-      return 4;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      return 2;
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      return 1;
-    default:
-      return 0;
-  }
-}
+constexpr u32 access_size(Op op) { return op_info(op).access_size; }
 
 /// Address a `size`-byte access at `base + imm` touches.  Misaligned
 /// addresses are truncated to the access's natural alignment, not trapped.

@@ -37,6 +37,15 @@ GuestOs::GuestOs(Machine& machine, OsConfig config)
   }
 }
 
+analysis::AnalysisOptions analysis_options(const OsConfig& config) {
+  analysis::AnalysisOptions options;
+  options.interprocedural_footprint = config.footprint_summaries;
+  options.context_depth = config.context_depth;
+  options.field_sensitive = config.field_sensitive;
+  options.field_sp_depth = config.field_sp_depth;
+  return options;
+}
+
 void GuestOs::load(const isa::Program& program) {
   // Reset per-process state so the same machine can host successive loads.
   process_exited_ = false;
@@ -113,13 +122,8 @@ void GuestOs::load(const isa::Program& program) {
   machine_->core().set_text_range(program.text_base, program.text_end());
   analysis_.reset();
   if (config_.static_cfc || config_.static_ddt) {
-    analysis::AnalysisOptions options;
-    options.interprocedural_footprint = config_.footprint_summaries;
-    options.context_depth = config_.context_depth;
-    options.field_sensitive = config_.field_sensitive;
-    options.field_sp_depth = config_.field_sp_depth;
     analysis_ = std::make_unique<analysis::AnalysisResult>(
-        analysis::analyze(program, options));
+        analysis::analyze(program, analysis_options(config_)));
   }
   if (auto* cfc = machine_->cfc()) {
     cfc->set_text_range(program.text_base, program.text_end());

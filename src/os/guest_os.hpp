@@ -105,6 +105,11 @@ struct OsConfig {
   u32 field_sp_depth = 2;
 };
 
+/// The static analyzer's options under `config`: what GuestOs::load analyses
+/// the program with for static_cfc/static_ddt, and what `rse_run --lint`
+/// checks before that run.
+analysis::AnalysisOptions analysis_options(const OsConfig& config);
+
 struct RecoveryReport {
   ThreadId faulty = kNoThread;
   std::vector<ThreadId> killed;     // dependent closure, including faulty

@@ -2,6 +2,7 @@
 #include <sstream>
 #include <string>
 
+#include "isa/instruction.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rse::workloads {
@@ -16,14 +17,14 @@ std::string lower_first_word(const std::string& text) {
 }
 
 bool is_control_mnemonic(const std::string& m) {
-  return m == "beq" || m == "bne" || m == "blt" || m == "bge" || m == "bltu" || m == "bgeu" ||
-         m == "b" || m == "beqz" || m == "bnez" || m == "j" || m == "jal" || m == "jr" ||
-         m == "jalr";
+  const isa::OpClass c = isa::op_info(isa::op_named(m)).op_class;
+  return c == isa::OpClass::kBranch || c == isa::OpClass::kJump || m == "b" || m == "beqz" ||
+         m == "bnez";
 }
 
 bool is_mem_mnemonic(const std::string& m) {
-  return m == "lw" || m == "lb" || m == "lbu" || m == "lh" || m == "lhu" || m == "sw" ||
-         m == "sb" || m == "sh";
+  const isa::OpClass c = isa::op_info(isa::op_named(m)).op_class;
+  return c == isa::OpClass::kLoad || c == isa::OpClass::kStore;
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ main:
   beq a0, r0, skip
   li t0, 2
 skip:
-  lui t1, 0x3FFFC
+  li t1, 0x3FFFC000
   mul t2, t0, t1
   lui t3, 0x7FFF
   ori t3, t3, 0xFFF0

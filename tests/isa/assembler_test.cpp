@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace rse::isa {
@@ -242,6 +244,39 @@ TEST(Assembler, Errors) {
   EXPECT_THROW(assemble(".text\nmain:\nmain:\n  nop\n"), AssemblyError);
   EXPECT_THROW(assemble(".text\nmain:\n  add r1, r99, r0\n"), AssemblyError);
   EXPECT_THROW(assemble(".text\n  .word 1\n"), AssemblyError);  // .word outside .data
+
+  // Every field range: each boundary assembles, the value one past it does
+  // not (none of them wraps).  main is at 0x0040'0000.
+  const std::pair<const char*, bool> fields[] = {
+      {"addi r1, r0, -32768", true},      {"addi r1, r0, -32769", false},
+      {"addi r1, r0, 32767", true},       {"addi r1, r0, 32768", false},
+      {"addi a0, zero, 40000", false},    {"slti r1, r0, -32768", true},
+      {"slti r1, r0, 32768", false},      {"sltiu r1, r0, 32767", true},
+      {"sltiu r1, r0, -32769", false},    {"lw r1, -32768(r2)", true},
+      {"lw r1, -32769(r2)", false},       {"sw r1, 32767(r2)", true},
+      {"sw r1, 32768(r2)", false},        {"lb r1, 32767", true},
+      {"lb r1, 32768", false},            {"andi r1, r2, 0", true},
+      {"andi r1, r2, -1", false},         {"andi r1, r2, 65535", true},
+      {"andi r1, r2, 65536", false},      {"ori r1, r2, 0xFFFF", true},
+      {"ori r1, r2, -1", false},          {"xori r1, r2, 65535", true},
+      {"xori r1, r2, 0x10000", false},    {"lui r1, 0", true},
+      {"lui r1, -1", false},              {"lui r1, 0xFFFF", true},
+      {"lui r1, 0x10000", false},         {"sll r1, r2, 31", true},
+      {"sll r1, r2, 32", false},          {"beq r1, r2, 0x00420000", true},
+      {"beq r1, r2, 0x00420004", false},  {"bne r1, r2, 0x003E0004", true},
+      {"bne r1, r2, 0x003E0000", false},  {"j 0x0FFFFFFC", true},
+      {"j 0x10000000", false},            {"jal 0x0FFFFFFC", true},
+      {"jal 0x10000000", false},          {"chk icm, 31, blk, r0, 4095", true},
+      {"chk icm, 32, blk, r0, 0", false}, {"chk icm, 0, blk, r0, 4096", false},
+  };
+  for (const auto& [line, accepted] : fields) {
+    const std::string source = ".text\nmain:\n  " + std::string(line) + "\n";
+    if (accepted) {
+      EXPECT_NO_THROW(assemble(source)) << line;
+    } else {
+      EXPECT_THROW(assemble(source), AssemblyError) << line;
+    }
+  }
 }
 
 TEST(Assembler, TextWordLookup) {

@@ -209,7 +209,8 @@ int main(int argc, char** argv) {
 
   try {
     if (lint) {
-      const analysis::AnalysisResult verdict = analysis::analyze(isa::assemble(source));
+      const analysis::AnalysisResult verdict =
+          analysis::analyze(isa::assemble(source), os::analysis_options(os_config));
       for (const analysis::Diagnostic& d : verdict.diagnostics) {
         std::cerr << analysis::format_diagnostic(d) << "\n";
       }
