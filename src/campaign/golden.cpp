@@ -1,8 +1,5 @@
 #include "campaign/golden.hpp"
 
-#include <functional>
-#include <sstream>
-
 #include <algorithm>
 
 #include "common/error.hpp"
@@ -71,35 +68,18 @@ GoldenRun simulate_golden_fast(const WorkloadSetup& setup) {
   return golden;
 }
 
-std::string GoldenCache::key_of(const WorkloadSetup& setup, bool fast) {
-  std::ostringstream key;
-  key << setup.name << '|' << std::hash<std::string>{}(setup.source) << '|'
-      << setup.machine.framework_present << '|' << setup.machine.core.ruu_size << '|'
-      << setup.os.seed << '|' << setup.os.run_limit << '|' << setup.os.static_cfc << '|'
-      << setup.os.static_ddt << '|' << setup.os.footprint_summaries << '|'
-      << setup.os.context_depth << '|' << setup.os.field_sensitive << '|'
-      << setup.os.field_sp_depth << '|'
-      // Layout randomization moves every stack/heap/shlib address, so a
-      // randomized golden (or one under a different MLR seed — DME variants)
-      // must never alias an unrandomized one.
-      << setup.os.randomize_layout << '|' << setup.machine.mlr.seed << '|'
-      << (fast ? "fast" : "cycle-accurate");
-  for (isa::ModuleId id : setup.host_enables) key << '|' << static_cast<int>(id);
-  return key.str();
-}
-
 std::shared_ptr<const GoldenRun> GoldenCache::get(const WorkloadSetup& setup, bool fast) {
-  const std::string key = key_of(setup, fast);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = runs_.find(key);
-  if (it != runs_.end()) {
-    ++hits_;
-    return it->second;
+  for (const Entry& entry : runs_) {
+    if (entry.fast == fast && entry.setup == setup) {
+      ++hits_;
+      return entry.golden;
+    }
   }
   ++misses_;
   auto golden = std::make_shared<const GoldenRun>(
       fast ? simulate_golden_fast(setup) : simulate_golden(setup));
-  runs_.emplace(key, golden);
+  runs_.push_back(Entry{setup, fast, golden});
   return golden;
 }
 

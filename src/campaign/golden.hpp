@@ -4,11 +4,10 @@
 // one process, e.g. the throughput benchmark — simulates the baseline once.
 #pragma once
 
-#include <array>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "campaign/workload.hpp"
 #include "isa/program.hpp"
@@ -50,8 +49,9 @@ GoldenRun simulate_golden(const WorkloadSetup& setup);
 /// execution mid-run when the workload leaves fast mode's envelope.
 GoldenRun simulate_golden_fast(const WorkloadSetup& setup);
 
-/// Thread-safe cache of golden runs keyed by (workload name, source,
-/// machine knobs that affect execution, execution mode).
+/// Thread-safe cache of golden runs keyed by the whole workload setup (name,
+/// source, every machine and OS config field, host-enabled modules) and the
+/// execution mode: two setups share a golden run only if they are equal.
 class GoldenCache {
  public:
   /// Fetch the golden run, simulating it on first use.  `fast` selects the
@@ -63,10 +63,14 @@ class GoldenCache {
   u64 misses() const { return misses_; }
 
  private:
-  static std::string key_of(const WorkloadSetup& setup, bool fast);
+  struct Entry {
+    WorkloadSetup setup;
+    bool fast = false;
+    std::shared_ptr<const GoldenRun> golden;
+  };
 
   std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const GoldenRun>> runs_;
+  std::vector<Entry> runs_;
   u64 hits_ = 0;
   u64 misses_ = 0;
 };

@@ -20,6 +20,29 @@ Cycle CampaignRunner::budget_for(const GoldenRun& golden, double hang_factor) co
   return static_cast<Cycle>(static_cast<double>(golden.cycles) * hang_factor) + 20'000;
 }
 
+WorkloadSetup CampaignRunner::setup_for(const CampaignSpec& spec) {
+  WorkloadSetup setup = make_workload(spec.workload);
+  setup.os.static_cfc = spec.static_cfc;
+  setup.os.static_ddt = spec.static_ddt;
+  setup.os.footprint_summaries = spec.footprint_summaries;
+  setup.os.context_depth = spec.context_depth;
+  setup.os.field_sensitive = spec.field_sensitive;
+  if (spec.static_ddt && std::find(setup.host_enables.begin(), setup.host_enables.end(),
+                                   isa::ModuleId::kDdt) == setup.host_enables.end()) {
+    // The footprint check rides the DDT's commit taps: the mode implies
+    // enabling the module for the golden and every faulty run.
+    setup.host_enables.push_back(isa::ModuleId::kDdt);
+  }
+  if (spec.dme) {
+    // Variant A *is* the campaign: layout randomization on, MLR seed pinned
+    // to dme_seed_a.  The golden run is keyed on the randomized layout.
+    setup.machine.framework_present = true;
+    setup.machine.mlr.seed = spec.dme_seed_a;
+    setup.os.randomize_layout = true;
+  }
+  return setup;
+}
+
 InjectionPlan CampaignRunner::plan_for(const CampaignSpec& spec, const GoldenRun& golden,
                                        const WorkloadSetup& setup) const {
   (void)setup;
@@ -250,9 +273,8 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
   if (dme_reference != nullptr) {
     checker.emplace(dme_reference, dme::RegionMap::of(guest));
     if (route.boundary != nullptr) checker->set_position(route.boundary->position);
-    machine.core().set_commit_record([&checker](const cpu::Core::CommitRecord& r) {
-      checker->push(r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value);
-    });
+    machine.core().set_commit_observer(
+        [&checker](Cycle, const engine::CommitInfo& info) { checker->push(info); });
   }
 
   RunResult result;
@@ -263,13 +285,9 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
   // of the faulty run, not of the campaign.
   bool host_trap = false;
   try {
-    while (!guest.finished() && machine.now() < record.inject_cycle && machine.now() < budget) {
-      guest.step();
-    }
-    if (!guest.finished() && machine.now() < budget) {
-      result.fault_applied = apply_fault(machine, record);
-    }
-    while (!guest.finished() && machine.now() < budget) guest.step();
+    // The guest's run limit is the budget (BootedGuest).
+    if (guest.run_until(record.inject_cycle)) result.fault_applied = apply_fault(machine, record);
+    guest.run();
   } catch (const SimError&) {
     host_trap = true;
   }
@@ -311,20 +329,19 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
                                                    const GoldenRun& golden,
                                                    const CampaignSpec& spec, Cycle budget,
                                                    bool /*use_fast_forward*/) const {
-  // One from-reset pass replicating the classic pre-injection loop captures
-  // every bucket boundary, so each snapshot is bit-identical to the machine
-  // state a classic run reaches at that cycle.
+  // One from-reset pass through the classic prefix's stepping loop
+  // (GuestOs::run_until) captures every bucket boundary, so each snapshot is
+  // bit-identical to the machine state a classic run reaches at that cycle.
   SnapshotChain chain;
   const u32 buckets = std::max(1u, spec.snapshot_buckets);
   BootedGuest boot(setup, golden.program, budget);
   os::Machine& machine = boot.machine;
   os::GuestOs& guest = boot.guest;
   for (u32 b = 0; b < buckets; ++b) {
-    const Cycle bound = golden.cycles * b / buckets;
-    while (!guest.finished() && machine.now() < bound && machine.now() < budget) guest.step();
-    while (!guest.finished() && machine.now() < budget &&
-           !os::MachineSnapshot::quiescent(machine)) {
-      guest.step();
+    // To the bucket's bound, then one cycle at a time to a quiescent cycle.
+    bool live = guest.run_until(golden.cycles * b / buckets);
+    while (live && !os::MachineSnapshot::quiescent(machine)) {
+      live = guest.run_until(machine.now() + 1);
     }
     if (guest.finished() || !os::MachineSnapshot::quiescent(machine)) break;
     if (!chain.snaps.empty() && chain.snaps.back().at == machine.now()) continue;
@@ -347,26 +364,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
                       "checker streams from commit zero and cannot start "
                       "mid-trace from a restored snapshot");
   }
-  WorkloadSetup setup = make_workload(spec.workload);
-  setup.os.static_cfc = spec.static_cfc;
-  setup.os.static_ddt = spec.static_ddt;
-  setup.os.footprint_summaries = spec.footprint_summaries;
-  setup.os.context_depth = spec.context_depth;
-  setup.os.field_sensitive = spec.field_sensitive;
-  if (spec.static_ddt && std::find(setup.host_enables.begin(), setup.host_enables.end(),
-                                   isa::ModuleId::kDdt) == setup.host_enables.end()) {
-    // The footprint check rides the DDT's commit taps: the mode implies
-    // enabling the module for the golden and every faulty run.
-    setup.host_enables.push_back(isa::ModuleId::kDdt);
-  }
-  if (spec.dme) {
-    // Variant A *is* the campaign: layout randomization on, MLR seed pinned
-    // to dme_seed_a.  Mutating the setup before the cache lookup keys the
-    // golden on the randomized layout (GoldenCache::key_of).
-    setup.machine.framework_present = true;
-    setup.machine.mlr.seed = spec.dme_seed_a;
-    setup.os.randomize_layout = true;
-  }
+  const WorkloadSetup setup = setup_for(spec);
   const std::shared_ptr<const GoldenRun> golden = cache_->get(setup);
   const InjectionPlan plan = plan_for(spec, *golden, setup);
   const Cycle budget = budget_for(*golden, spec.hang_factor);

@@ -121,6 +121,12 @@ class CampaignRunner {
                                      const CampaignSpec& spec, Cycle budget,
                                      bool use_fast_forward) const;
 
+  /// The workload setup every run of a spec simulates: the named workload
+  /// with the spec's analysis knobs, the DDT enabled for static_ddt, and,
+  /// for DME, layout randomization under dme_seed_a.  run() and --describe
+  /// both start from it.
+  static WorkloadSetup setup_for(const CampaignSpec& spec);
+
   /// The plan a spec expands to (exposed for tests and --describe).
   InjectionPlan plan_for(const CampaignSpec& spec, const GoldenRun& golden,
                          const WorkloadSetup& setup) const;

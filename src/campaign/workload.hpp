@@ -20,6 +20,8 @@ struct WorkloadSetup {
   os::MachineConfig machine;
   os::OsConfig os;
   std::vector<isa::ModuleId> host_enables;  // enabled after load (as a loader would)
+
+  bool operator==(const WorkloadSetup&) const = default;
 };
 
 /// A fresh machine and guest OS with `program` loaded and the setup's

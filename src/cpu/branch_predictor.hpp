@@ -16,6 +16,8 @@ struct PredictorConfig {
   u32 bimodal_entries = 2048;  // 2-bit counters
   u32 btb_entries = 256;       // direct-mapped PC -> target
   u32 ras_entries = 8;
+
+  bool operator==(const PredictorConfig&) const = default;
 };
 
 struct PredictorStats {

@@ -213,15 +213,15 @@ void Core::stage_commit(Cycle now) {
       }
     }
 
-    if (commit_trace_) commit_trace_(now, e.pc, e.instr, thread_);
-    if (commit_record_) {
-      commit_record_(CommitRecord{e.pc, e.raw, e.is_mem, e.is_store, e.eff_addr, e.mem_value});
-    }
+    // Syscalls and invalid words have no memory access: their eff_addr and
+    // mem_value are still the zeros dispatch cleared them to.
+    const engine::CommitInfo ci{engine::InstrTag{ruu_head_, e.seq}, e.pc,       e.instr,
+                                thread_,                            e.eff_addr, e.mem_value};
+    if (commit_observer_) commit_observer_(now, ci);
     const OpClass cls = e.instr.op_class();
     if (cls == OpClass::kSyscall || e.instr.op == Op::kInvalid) {
       serialize_active_ = false;
       const bool is_invalid = e.instr.op == Op::kInvalid;
-      engine::CommitInfo ci{engine::InstrTag{ruu_head_, e.seq}, e.pc, e.instr, thread_, 0, 0};
       if (fw_) fw_->on_commit(ci, now);
       // Free the entry before invoking the OS so the handler sees a drained
       // pipeline (it may switch contexts).
@@ -247,8 +247,6 @@ void Core::stage_commit(Cycle now) {
       continue;
     }
 
-    engine::CommitInfo ci{engine::InstrTag{ruu_head_, e.seq}, e.pc,       e.instr,
-                          thread_,                            e.eff_addr, e.mem_value};
     Cycle module_stall = 0;
     if (fw_) module_stall = fw_->on_commit(ci, now);
 
@@ -508,7 +506,6 @@ void Core::stage_dispatch(Cycle now) {
     e.valid = true;
     e.seq = next_seq_++;
     e.pc = f.pc;
-    e.raw = f.raw;
     e.instr = f.instr;
     e.wrong_path = f.wrong_path;
 

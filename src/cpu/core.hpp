@@ -43,6 +43,8 @@ struct CoreConfig {
   Cycle mul_latency = 3;
   Cycle div_latency = 20;
   PredictorConfig predictor;
+
+  bool operator==(const CoreConfig&) const = default;
 };
 
 struct CoreStats {
@@ -144,28 +146,16 @@ class Core {
   Addr text_lo() const { return text_lo_; }
   Addr text_hi() const { return text_hi_; }
 
-  /// Debug hook invoked for every committed instruction, in retirement
-  /// order (used by the rse_run --trace tool and by tests).
-  using CommitTraceHook = std::function<void(Cycle now, Addr pc, const isa::Instr& instr,
-                                             ThreadId thread)>;
-  void set_commit_trace(CommitTraceHook hook) { commit_trace_ = std::move(hook); }
-
-  /// Richer per-commit record (rse/dme.hpp trace canonicalization): every
-  /// committed instruction in retirement order — syscalls and invalid words
-  /// included — with the raw fetched word and, for memory operations, the
-  /// alignment-masked effective address and memory value (post-sign-extension
-  /// loaded value for loads, unmasked rt for stores).  Like every hook, this
-  /// is excluded from serialize_state (snapshots never capture callbacks).
-  struct CommitRecord {
-    Addr pc = 0;
-    Word raw = 0;
-    bool is_mem = false;
-    bool is_store = false;
-    Addr ea = 0;
-    Word value = 0;
-  };
-  using CommitRecordHook = std::function<void(const CommitRecord&)>;
-  void set_commit_record(CommitRecordHook hook) { commit_record_ = std::move(hook); }
+  /// Observer of every committed instruction in retirement order, syscalls
+  /// and invalid words included, given the CommitInfo the framework's
+  /// on_commit receives (for memory operations, the alignment-masked
+  /// effective address and memory value).  It fires after the CHECK-error
+  /// test and before the framework and the syscall handler see the commit.
+  /// Its users: rse_run --trace, DME trace recording and checking, the
+  /// fast-forward syscall schedule, and tests.  Like every hook, it is
+  /// excluded from serialize_state (snapshots never capture callbacks).
+  using CommitObserver = std::function<void(Cycle now, const engine::CommitInfo& info)>;
+  void set_commit_observer(CommitObserver observer) { commit_observer_ = std::move(observer); }
 
   /// Execution-path fault injection: applied to the computed next PC of
   /// every control-flow instruction (pc, next) -> next'.  Models a soft
@@ -194,8 +184,6 @@ class Core {
   std::vector<std::pair<Addr, u32>> inflight_ranges() const;
 
   const CoreStats& stats() const { return stats_; }
-  CoreStats& mutable_stats() { return stats_; }
-  BranchPredictor& predictor() { return predictor_; }
   const CoreConfig& config() const { return config_; }
 
   /// Snapshot hook: every value-state member of the pipeline.  Wiring
@@ -246,8 +234,7 @@ class Core {
     bool valid = false;
     u64 seq = 0;
     Addr pc = 0;
-    Word raw = 0;
-    isa::Instr instr;
+    isa::Instr instr;  // instr.raw is the word as fetched
     bool wrong_path = false;
 
     // functional results (correct-path only)
@@ -337,8 +324,7 @@ class Core {
 
   FetchFaultHook fetch_fault_;
   BranchFaultHook branch_fault_;
-  CommitTraceHook commit_trace_;
-  CommitRecordHook commit_record_;
+  CommitObserver commit_observer_;
   Addr text_lo_ = 0;
   Addr text_hi_ = 0;
   CoreStats stats_;

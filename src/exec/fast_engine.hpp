@@ -76,7 +76,7 @@ class FastEngine {
 
   /// Per-instruction trace hook (DME reference recording, rse/dme.hpp):
   /// fired before each instruction executes with the same fields the cycle-
-  /// accurate core's commit-record hook reports — raw fetched word, masked
+  /// accurate core's commit observer reports — raw fetched word, masked
   /// effective address, and the memory value (post-sign-extension loaded
   /// value for loads, unmasked rt for stores).  Syscalls and illegal words
   /// stop the engine unexecuted and are NOT traced here; FastSession emits

@@ -11,27 +11,27 @@ FastForwardController::BoundaryMap FastForwardController::map_boundaries(
   std::sort(cycles.begin(), cycles.end());
   cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
 
-  os::Machine& machine = guest.machine();
-  cpu::Core& core = machine.core();
+  cpu::Core& core = guest.machine().core();
   if (schedule != nullptr) {
     // The hook fires before commit advances functional_pos() past the
     // syscall, so the key equals FastEngine::executed() at the moment a
     // fast prefix stops ON the same syscall.
-    core.set_commit_trace([&core, schedule](Cycle now, Addr, const isa::Instr& instr, ThreadId) {
-      if (instr.op == isa::Op::kSyscall) (*schedule)[core.functional_pos()] = now;
+    core.set_commit_observer([&core, schedule](Cycle now, const engine::CommitInfo& info) {
+      if (info.instr.op == isa::Op::kSyscall) (*schedule)[core.functional_pos()] = now;
     });
   }
 
   BoundaryMap map;
   for (const Cycle cycle : cycles) {
-    while (!guest.finished() && machine.now() < cycle) guest.step();
-    if (guest.finished()) break;  // later cycles never apply a fault either
+    // A guest that finished or reached its run limit never applies a fault
+    // at this cycle or any later one.
+    if (!guest.run_until(cycle)) break;
     Boundary boundary;
     boundary.position = core.functional_pos();
     boundary.inflight = core.inflight_ranges();
     map.emplace(cycle, std::move(boundary));
   }
-  if (schedule != nullptr) core.set_commit_trace(nullptr);
+  if (schedule != nullptr) core.set_commit_observer(nullptr);
   return map;
 }
 

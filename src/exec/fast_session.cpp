@@ -78,7 +78,7 @@ void FastSession::set_instr_trace(FastEngine::TraceHook hook) {
 void FastSession::trace_syscall() {
   // The engine stopped ON the syscall without executing it; the session
   // commits it, so the session emits its trace record — at the syscall's own
-  // PC, matching the cycle-accurate core's commit-record hook (which reports
+  // PC, matching the cycle-accurate core's commit observer (which reports
   // syscalls with no memory evidence).
   if (!trace_) return;
   const Addr pc = engine_.pc();

@@ -86,11 +86,6 @@ class FastSession {
 
   u64 executed() const { return engine_.executed(); }
   BailReason bail_reason() const { return bail_; }
-  /// True when the boundary landed inside a suspension (between a syscall's
-  /// commit and the scheduler's wake-up).  transplant() then leaves the core
-  /// suspended; the wake-up replays at its absolute classic cycle once the
-  /// caller steps the machine.
-  bool suspended() const { return suspended_; }
   /// Virtual time: cycles at session start + instructions + syscall stalls,
   /// floored at the machine clock (excursions advance the real clock).
   Cycle virtual_now() const;
@@ -114,8 +109,8 @@ class FastSession {
   /// per-instruction hook and additionally emits a record for each syscall
   /// the session delegates or runs as an excursion — at the syscall's own PC,
   /// before the PC moves past it — so the traced stream is exactly the
-  /// committed-instruction stream the cycle-accurate core's commit-record
-  /// hook reports.  Install before run_until.
+  /// committed-instruction stream the cycle-accurate core's commit observer
+  /// reports.  Install before run_until.
   void set_instr_trace(FastEngine::TraceHook hook);
 
   /// Transplant fast-mode architectural state (regs, pc) into the
@@ -123,7 +118,10 @@ class FastSession {
   /// Memory needs no copy — the engine wrote the machine's MainMemory in
   /// place.  The CFC's per-thread stream state is cleared: the first
   /// post-transplant transition is fault-independent for every fast-forward-
-  /// eligible fault class, so skipping its check drops no detection.
+  /// eligible fault class, so skipping its check drops no detection.  When
+  /// the boundary landed inside a suspension (between a syscall's commit and
+  /// the scheduler's wake-up), the core is left suspended; the wake-up
+  /// replays at its absolute classic cycle once the caller steps the machine.
   void transplant(Cycle target_cycle);
 
  private:

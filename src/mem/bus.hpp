@@ -27,6 +27,8 @@ struct BusTiming {
     const u32 chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
     return first_chunk_cycles + static_cast<Cycle>(chunks == 0 ? 0 : chunks - 1) * inter_chunk_cycles;
   }
+
+  bool operator==(const BusTiming&) const = default;
 };
 
 enum class BusSource : u8 { kPipeline, kMau };
@@ -44,7 +46,6 @@ class BusArbiter {
   explicit BusArbiter(BusTiming timing) : timing_(timing) {}
 
   const BusTiming& timing() const { return timing_; }
-  void set_timing(BusTiming timing) { timing_ = timing; }
 
   /// Request a transfer of `bytes` at cycle `now`; returns the cycle at which
   /// the transfer completes.  The bus is occupied until then.
@@ -66,7 +67,6 @@ class BusArbiter {
 
   Cycle busy_until() const { return busy_until_; }
   const BusStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = BusStats{}; }
 
   /// Snapshot hook: occupancy horizon plus statistics.
   template <class Ar>

@@ -19,6 +19,8 @@ struct CacheConfig {
   u32 assoc = 1;
   u32 block_bytes = 32;
   Cycle hit_latency = 1;
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 struct CacheStats {
@@ -66,7 +68,6 @@ class Cache : public MemLevel {
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
 
   /// Snapshot hook: tag/LRU/dirty state plus statistics (geometry is config).
   template <class Ar>

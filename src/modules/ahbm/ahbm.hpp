@@ -31,6 +31,8 @@ struct AhbmConfig {
   Cycle min_timeout = 4096;      // floor (at least two sample periods)
   bool adaptive = true;          // false = fixed timeout (ablation baseline)
   Cycle fixed_timeout = 65536;   // used when !adaptive
+
+  bool operator==(const AhbmConfig&) const = default;
 };
 
 struct AhbmStats {

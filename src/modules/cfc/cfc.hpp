@@ -37,6 +37,8 @@ namespace rse::modules {
 struct CfcConfig {
   Addr text_lo = 0;  // legal range for indirect-jump targets (loader-set)
   Addr text_hi = 0;
+
+  bool operator==(const CfcConfig&) const = default;
 };
 
 /// Per-indirect-jump legal-successor sets, statically computed by the
@@ -75,7 +77,6 @@ class CfcModule : public engine::Module {
   /// table.  Tightens the indirect-jump check from "within text range" to
   /// "within the statically computed target set" for every PC in the table.
   void set_successor_table(CfcSuccessorTable table) { successors_ = std::move(table); }
-  bool has_successor_table() const { return !successors_.empty(); }
 
   void on_commit(const engine::CommitInfo& info, Cycle now) override;
   // Uniform module-reset semantics: dynamic state and statistics clear;

@@ -33,6 +33,8 @@ struct DdtConfig {
   u32 max_threads = 32;   // DDM is max_threads x max_threads bits
   u32 pst_entries = 0;    // 0 = unbounded; otherwise LRU-capped "hot page" table
   bool model_log_lag = false;  // model the 1-cycle lag window of section 4.2.1
+
+  bool operator==(const DdtConfig&) const = default;
 };
 
 struct DdtStats {

@@ -30,6 +30,8 @@ struct IcmConfig {
   u32 cache_entries = 256;       // Icm_Cache capacity (instruction copies)
   u32 fetch_block_words = 8;     // checked instructions fetched per MAU request
   Addr checker_base = 0xC000'0000;  // CheckerMemory region in main memory
+
+  bool operator==(const IcmConfig&) const = default;
 };
 
 struct IcmStats {

@@ -50,6 +50,8 @@ struct MlrConfig {
   u32 region_align = 16;       // randomized bases are 16-byte aligned
   u32 entropy_pages = 256;     // randomization range (pages) per region
   u64 seed = 0x4D4C52;         // supplements the clock-cycle counter entropy
+
+  bool operator==(const MlrConfig&) const = default;
 };
 
 struct MlrStats {

@@ -148,12 +148,6 @@ void GuestOs::enable_module(isa::ModuleId id) {
   }
 }
 
-void GuestOs::disable_module(isa::ModuleId id) {
-  if (auto* fw = machine_->framework()) {
-    if (auto* m = fw->module(id)) m->set_enabled(false);
-  }
-}
-
 bool GuestOs::finished() const {
   if (process_exited_) return true;
   for (const Thread& t : threads_) {
@@ -167,9 +161,13 @@ void GuestOs::step() {
   scheduler_tick(machine_->now());
 }
 
-void GuestOs::run() {
-  while (!finished() && machine_->now() < config_.run_limit) step();
+bool GuestOs::run_until(Cycle cycle) {
+  const Cycle stop = std::min(cycle, config_.run_limit);
+  while (!finished() && machine_->now() < stop) step();
+  return !finished() && machine_->now() < config_.run_limit;
 }
+
+void GuestOs::run() { run_until(config_.run_limit); }
 
 ThreadState GuestOs::thread_state(ThreadId tid) const {
   return tid < threads_.size() ? threads_[tid].state : ThreadState::kKilled;

@@ -103,6 +103,8 @@ struct OsConfig {
   /// per recursion rung up to this bound, then fall back to the joined
   /// context.  Effective only with field_sensitive and context_depth > 0.
   u32 field_sp_depth = 2;
+
+  bool operator==(const OsConfig&) const = default;
 };
 
 /// The static analyzer's options under `config`: what GuestOs::load analyses
@@ -163,6 +165,12 @@ class GuestOs : public cpu::OsClient {
   /// optionally randomize the layout via the MLR module, create thread 0.
   void load(const isa::Program& program);
 
+  /// Step until the process exits, every thread is dead, the clock reaches
+  /// `cycle`, or run_limit hits.  Returns whether the guest is still live
+  /// and below run_limit: the condition under which a campaign applies a
+  /// fault at `cycle`.  A campaign run's prefix and suffix, the fast-forward
+  /// boundary replay and the snapshot chain all step through this one loop.
+  bool run_until(Cycle cycle);
   /// Run until the process exits, every thread is dead, or run_limit hits.
   void run();
   /// Advance one machine cycle plus scheduler work (for tests).
@@ -174,14 +182,12 @@ class GuestOs : public cpu::OsClient {
 
   // ---- module convenience (host-side enable, as the loader would) ----
   void enable_module(isa::ModuleId id);
-  void disable_module(isa::ModuleId id);
 
   // ---- introspection ----
   Machine& machine() { return *machine_; }
   const OsConfig& config() const { return config_; }
   SimNetwork& network() { return network_; }
   const OsStats& stats() const { return stats_; }
-  const CheckpointStore& checkpoints() const { return checkpoints_; }
   ThreadState thread_state(ThreadId tid) const;
   u32 live_thread_count() const;
   const std::vector<RecoveryReport>& recoveries() const { return recovery_reports_; }

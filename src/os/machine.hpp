@@ -42,6 +42,8 @@ struct MachineConfig {
   modules::DdtConfig ddt{};
   modules::AhbmConfig ahbm{};
   modules::CfcConfig cfc{};
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 class Machine {

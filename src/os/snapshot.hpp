@@ -3,8 +3,8 @@
 //
 // A MachineSnapshot is the complete *value* state of a quiescent machine +
 // guest-OS pair: the sparse memory image, core pipeline context, cache/bus
-// timing state, the RSE framework (queues, IOQ, MAU horizon, latched
-// events, self-check state) and all five modules, plus the OS scheduler,
+// timing state, the RSE framework (IOQ, MAU horizon, latched events,
+// self-check state) and all five modules, plus the OS scheduler,
 // threads, network, DDT SavePage history (the CheckpointStore — note that
 // store alone is *not* a machine checkpoint; see src/os/checkpoint.hpp) and
 // statistics.

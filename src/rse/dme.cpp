@@ -10,14 +10,14 @@ namespace {
 
 void install_core_recorder(os::Machine& machine, const RegionMap& map, CanonicalTrace* out,
                            u64 max_records) {
-  machine.core().set_commit_record([map, out, max_records](const cpu::Core::CommitRecord& r) {
-    if (out->records.size() >= max_records) {
-      out->truncated = true;
-      return;
-    }
-    out->records.push_back(
-        make_record(map, r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value));
-  });
+  machine.core().set_commit_observer(
+      [map, out, max_records](Cycle, const engine::CommitInfo& info) {
+        if (out->records.size() >= max_records) {
+          out->truncated = true;
+          return;
+        }
+        out->records.push_back(make_record(map, info));
+      });
 }
 
 }  // namespace

@@ -118,6 +118,14 @@ inline TraceRecord make_record(const RegionMap& map, Addr pc, Word raw, bool is_
   return r;
 }
 
+/// The record of one instruction the cycle-accurate core committed.
+inline TraceRecord make_record(const RegionMap& map, const engine::CommitInfo& info) {
+  const isa::OpClass cls = info.instr.op_class();
+  const bool is_store = cls == isa::OpClass::kStore;
+  return make_record(map, info.pc, info.instr.raw, is_store || cls == isa::OpClass::kLoad,
+                     is_store, info.eff_addr, info.mem_value);
+}
+
 /// Streaming comparator: feed variant-A records as they commit, against the
 /// reference variant's recorded trace.  The first mismatch is terminal —
 /// everything after a divergence point is noise, so `divergences()` is 0 or
@@ -128,7 +136,7 @@ class TraceChecker {
   TraceChecker(const CanonicalTrace* reference, RegionMap own)
       : ref_(reference), map_(own) {}
 
-  void push(Addr pc, Word raw, bool is_mem, bool is_store, Addr ea, Word value) {
+  void push(const engine::CommitInfo& info) {
     if (diverged_ || pos_ >= max_records_) return;
     if (pos_ >= ref_->records.size()) {
       // Ran past the reference.  A truncated reference proves nothing;
@@ -136,7 +144,7 @@ class TraceChecker {
       if (!ref_->truncated) mark_divergence();
       return;
     }
-    const TraceRecord rec = make_record(map_, pc, raw, is_mem, is_store, ea, value);
+    const TraceRecord rec = make_record(map_, info);
     if (!rec.matches(ref_->records[pos_])) {
       mark_divergence();
       return;

@@ -46,14 +46,19 @@ struct ExecuteInfo {
 /// permanent state when the commit signal arrives (section 3.2).  For stores
 /// this callback is made *before* the store value reaches memory, which is
 /// when the DDT's SavePage exception must fire.  A load's value (the paper's
-/// Memory_Out tap) arrives here too, in `mem_value`.
+/// Memory_Out tap) arrives here too, in `mem_value`.  The core's commit
+/// observer (cpu::Core::set_commit_observer) receives the same record; the
+/// word as fetched is `instr.raw`.
 struct CommitInfo {
   InstrTag tag;
   Addr pc = 0;
   isa::Instr instr;
   ThreadId thread = kNoThread;
   Addr eff_addr = 0;   // valid for loads/stores
-  Word mem_value = 0;  // store value / loaded value
+  Word mem_value = 0;  // store value (unmasked rt) / loaded value (extended)
 };
+// The framework's event ring stores every payload in one union: a commit
+// record must not outgrow a dispatch record.
+static_assert(sizeof(CommitInfo) <= sizeof(DispatchInfo));
 
 }  // namespace rse::engine

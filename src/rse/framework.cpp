@@ -7,7 +7,6 @@ namespace rse::engine {
 
 Framework::Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries)
     : memory_(&memory),
-      queues_(ruu_entries),
       ioq_(ruu_entries),
       mau_(memory, bus),
       alarm_counts_(ruu_entries, 0),
@@ -52,7 +51,6 @@ void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   }
   ioq_.allocate(info.tag, pending, is_chk ? info.instr.chk_module : isa::ModuleId::kFramework,
                 now);
-  queues_.fetch_out.latch(info.tag.slot, info, info.tag.seq, now);
   events_.push(Event::Kind::kDispatch, now + 1).dispatch = info;
 }
 
@@ -72,17 +70,15 @@ Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
     }
   }
   events_.push(Event::Kind::kCommit, now + 1).commit = info;
-  // The IOQ entry and queue registers are freed as the commit signal removes
-  // the instruction's data from the input queues (section 3.1).
+  // The IOQ entry is freed as the commit signal removes the instruction's
+  // data from the input queues (section 3.1).
   ioq_.free(info.tag);
-  queues_.fetch_out.invalidate(info.tag.slot, info.tag.seq);
   return stall;
 }
 
 void Framework::on_squash(const InstrTag& tag, Cycle now) {
   ++stats_.squashes_seen;
   ioq_.free(tag);
-  queues_.fetch_out.invalidate(tag.slot, tag.seq);
   events_.push(Event::Kind::kSquash, now + 1).squash = tag;
 }
 
@@ -243,7 +239,6 @@ void Framework::recouple() {
 
 void Framework::reset() {
   events_.clear();
-  queues_.clear();
   ioq_.free_all();
   for (auto& module : modules_) module->reset();
   recouple();

@@ -1,12 +1,13 @@
 // The Reliability and Security Engine framework (paper section 3).
 //
-// The framework owns the input interface (latched pipeline taps), the
+// The framework owns the input interface (the pipeline taps), the
 // Instruction Output Queue, the Memory Access Unit, the module
 // enable/disable unit, and the self-checking watchdog.  The simulated core
 // calls the on_* methods as instructions move through the pipeline; the
-// machine ticks the framework once per cycle after the core.  Events pushed
-// by the core in cycle N become visible to modules in cycle N+1 (the input
-// latch of Table 3), in the order the core pushed them.
+// machine ticks the framework once per cycle after the core.  Each call
+// becomes one event, and an event pushed by the core in cycle N becomes
+// visible to modules in cycle N+1 (the input latch of Table 3), in the order
+// the core pushed them.
 #pragma once
 
 #include <array>
@@ -20,7 +21,6 @@
 #include "mem/bus.hpp"
 #include "mem/main_memory.hpp"
 #include "rse/frame_types.hpp"
-#include "rse/input_queues.hpp"
 #include "rse/ioq.hpp"
 #include "rse/mau.hpp"
 #include "rse/module.hpp"
@@ -45,6 +45,8 @@ struct SelfCheckConfig {
   // moves two 4 KB buffers over the bus, ~3k cycles); tests shrink it.
   Cycle watchdog_timeout = 50'000;
   u32 alarm_threshold = 8;  // check 0->1 transitions per window
+
+  bool operator==(const SelfCheckConfig&) const = default;
 };
 
 struct FrameworkStats {
@@ -64,7 +66,7 @@ struct FrameworkStats {
 
 class Framework {
  public:
-  /// `ruu_entries` sizes every queue (one entry per re-order buffer slot).
+  /// `ruu_entries` sizes the IOQ (one entry per re-order buffer slot).
   Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries);
 
   // ---- construction-time wiring ----
@@ -72,7 +74,6 @@ class Framework {
   Module* module(isa::ModuleId id) const;
   Mau& mau() { return mau_; }
   Ioq& ioq() { return ioq_; }
-  InputQueues& queues() { return queues_; }
   mem::MainMemory& memory() { return *memory_; }
 
   /// Observer invoked when the self-checking logic decouples the framework.
@@ -119,10 +120,10 @@ class Framework {
 
   const FrameworkStats& stats() const { return stats_; }
 
-  /// Reset transient state between guest runs (modules, queues, IOQ).
+  /// Reset transient state between guest runs (modules, events, IOQ).
   void reset();
 
-  /// Snapshot hook: queues, IOQ, MAU, the latched event stream and the
+  /// Snapshot hook: IOQ, MAU, the latched event stream and the
   /// self-check state.  Module-internal state is serialized separately (the
   /// machine walks its typed module pointers); the self-check observer and
   /// module wiring are reconstructed by the normal construction path.
@@ -130,7 +131,6 @@ class Framework {
   template <class Ar>
   void serialize_state(Ar& ar) {
     ar.marker(0x46524D57u);  // "FRMW"
-    ar.field(queues_);
     ar.field(ioq_);
     ar.field(mau_);
     ar.field(events_);
@@ -215,7 +215,6 @@ class Framework {
   void trip_selfcheck(SelfCheckVerdict verdict, Cycle now);
 
   mem::MainMemory* memory_;
-  InputQueues queues_;
   Ioq ioq_;
   Mau mau_;
   std::vector<std::unique_ptr<Module>> modules_;

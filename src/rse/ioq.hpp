@@ -148,8 +148,6 @@ class Ioq {
     fault_ = fault;
     stuck_fault_injected_ = true;
   }
-  IoqStuckFault injected_fault() const { return fault_; }
-  u32 injected_fault_slot() const { return fault_slot_; }
   /// True once inject_stuck_fault has been called, even if a later call
   /// cleared the fault: what the watchdog learned about the faulty bits may
   /// still need updating.

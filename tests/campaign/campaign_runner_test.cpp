@@ -204,28 +204,63 @@ TEST(GoldenCache, DistinctWorkloadsGetDistinctGoldenRuns) {
   EXPECT_FALSE(loop->output.empty());
 }
 
-// Every loader analysis knob changes what the golden run's load computes, so
-// each one must be part of the key: two setups differing in any single knob
-// never share a golden run.
+// Every loader analysis knob changes what the golden run's load computes,
+// and every other OS and machine config field can change the run itself, so
+// each one must be part of the key: two setups differing in any single field
+// never share a golden run.  The OS list is every OsConfig field; the machine
+// list flips one field of each nested config.
 TEST(GoldenCache, EveryAnalysisKnobIsPartOfTheKey) {
   GoldenCache cache;
   const WorkloadSetup base = make_workload("loop");
   (void)cache.get(base);
   ASSERT_EQ(cache.misses(), 1u);
 
-  const std::vector<std::pair<const char*, void (*)(os::OsConfig&)>> flips = {
-      {"static_cfc", [](os::OsConfig& os) { os.static_cfc = !os.static_cfc; }},
-      {"static_ddt", [](os::OsConfig& os) { os.static_ddt = !os.static_ddt; }},
+  using Flip = void (*)(WorkloadSetup&);
+  const std::vector<std::pair<const char*, Flip>> flips = {
+      {"static_cfc", [](WorkloadSetup& w) { w.os.static_cfc = !w.os.static_cfc; }},
+      {"static_ddt", [](WorkloadSetup& w) { w.os.static_ddt = !w.os.static_ddt; }},
       {"footprint_summaries",
-       [](os::OsConfig& os) { os.footprint_summaries = !os.footprint_summaries; }},
-      {"context_depth", [](os::OsConfig& os) { os.context_depth += 1; }},
-      {"field_sensitive", [](os::OsConfig& os) { os.field_sensitive = !os.field_sensitive; }},
-      {"field_sp_depth", [](os::OsConfig& os) { os.field_sp_depth += 1; }},
+       [](WorkloadSetup& w) { w.os.footprint_summaries = !w.os.footprint_summaries; }},
+      {"context_depth", [](WorkloadSetup& w) { w.os.context_depth += 1; }},
+      {"field_sensitive", [](WorkloadSetup& w) { w.os.field_sensitive = !w.os.field_sensitive; }},
+      {"field_sp_depth", [](WorkloadSetup& w) { w.os.field_sp_depth += 1; }},
+      {"os.quantum", [](WorkloadSetup& w) { w.os.quantum += 1'000; }},
+      {"os.context_switch_cost", [](WorkloadSetup& w) { w.os.context_switch_cost += 1; }},
+      {"os.syscall_cost", [](WorkloadSetup& w) { w.os.syscall_cost += 1; }},
+      {"os.thread_stack_bytes", [](WorkloadSetup& w) { w.os.thread_stack_bytes *= 2; }},
+      {"os.max_threads", [](WorkloadSetup& w) { w.os.max_threads += 1; }},
+      {"os.check_error_retries", [](WorkloadSetup& w) { w.os.check_error_retries += 1; }},
+      {"os.randomize_layout",
+       [](WorkloadSetup& w) { w.os.randomize_layout = !w.os.randomize_layout; }},
+      {"os.rerandomize_interval", [](WorkloadSetup& w) { w.os.rerandomize_interval = 5'000; }},
+      {"os.max_checkpoint_bytes", [](WorkloadSetup& w) { w.os.max_checkpoint_bytes = 4'096; }},
+      {"os.run_limit", [](WorkloadSetup& w) { w.os.run_limit -= 1; }},
+      {"os.seed", [](WorkloadSetup& w) { w.os.seed += 1; }},
+      {"machine.framework_present",
+       [](WorkloadSetup& w) { w.machine.framework_present = !w.machine.framework_present; }},
+      {"core.fetch_width", [](WorkloadSetup& w) { w.machine.core.fetch_width = 2; }},
+      {"core.predictor.bimodal_entries",
+       [](WorkloadSetup& w) { w.machine.core.predictor.bimodal_entries /= 2; }},
+      {"il1.size_bytes", [](WorkloadSetup& w) { w.machine.il1.size_bytes /= 2; }},
+      {"dl1.size_bytes", [](WorkloadSetup& w) { w.machine.dl1.size_bytes /= 2; }},
+      {"il2.size_bytes", [](WorkloadSetup& w) { w.machine.il2.size_bytes /= 2; }},
+      {"dl2.size_bytes", [](WorkloadSetup& w) { w.machine.dl2.size_bytes /= 2; }},
+      {"bus_baseline.first_chunk_cycles",
+       [](WorkloadSetup& w) { w.machine.bus_baseline.first_chunk_cycles += 1; }},
+      {"bus_with_rse.first_chunk_cycles",
+       [](WorkloadSetup& w) { w.machine.bus_with_rse.first_chunk_cycles += 1; }},
+      {"selfcheck.watchdog_timeout",
+       [](WorkloadSetup& w) { w.machine.selfcheck.watchdog_timeout += 1; }},
+      {"icm.cache_entries", [](WorkloadSetup& w) { w.machine.icm.cache_entries /= 2; }},
+      {"mlr.entropy_pages", [](WorkloadSetup& w) { w.machine.mlr.entropy_pages /= 2; }},
+      {"ddt.pst_entries", [](WorkloadSetup& w) { w.machine.ddt.pst_entries = 4; }},
+      {"ahbm.sample_interval", [](WorkloadSetup& w) { w.machine.ahbm.sample_interval *= 2; }},
+      {"cfc.text_hi", [](WorkloadSetup& w) { w.machine.cfc.text_hi = 0x1000; }},
   };
   u64 misses = cache.misses();
   for (const auto& [knob, flip] : flips) {
     WorkloadSetup setup = base;
-    flip(setup.os);
+    flip(setup);
     (void)cache.get(setup);
     EXPECT_EQ(cache.misses(), misses + 1) << knob << " aliased the base golden run";
     misses = cache.misses();

@@ -435,8 +435,8 @@ main:
   li v0, 1
   syscall
 )");
-  runner.machine().core().set_commit_trace(
-      [&pcs](Cycle, Addr pc, const isa::Instr&, ThreadId) { pcs.push_back(pc); });
+  runner.machine().core().set_commit_observer(
+      [&pcs](Cycle, const engine::CommitInfo& info) { pcs.push_back(info.pc); });
   runner.run();
   ASSERT_EQ(pcs.size(), 6u);
   for (std::size_t i = 1; i < pcs.size(); ++i) EXPECT_EQ(pcs[i], pcs[i - 1] + 4);

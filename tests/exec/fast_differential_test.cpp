@@ -54,9 +54,9 @@ std::vector<u8> arena_bytes(SimRunner& runner) {
 /// context() is exactly the state the handler is about to see.
 void attach_commit_probe(SimRunner& runner, std::vector<Snapshot>* out) {
   cpu::Core& core = runner.machine().core();
-  runner.machine().core().set_commit_trace(
-      [&core, out](Cycle, Addr, const isa::Instr& instr, ThreadId) {
-        if (instr.op != isa::Op::kSyscall) return;
+  runner.machine().core().set_commit_observer(
+      [&core, out](Cycle, const engine::CommitInfo& info) {
+        if (info.instr.op != isa::Op::kSyscall) return;
         const cpu::ThreadContext ctx = core.context();
         out->push_back(Snapshot{ctx.pc, ctx.regs});
       });

@@ -177,16 +177,6 @@ TEST_F(FrameworkFixture, SquashFreesEntriesAndNotifies) {
   EXPECT_EQ(fw.stats().squashes_seen, 1u);
 }
 
-TEST_F(FrameworkFixture, InputQueueLatchedDataReadableBySlotSeq) {
-  DispatchInfo info = make_dispatch(4, 9, isa::Op::kLw);
-  fw.on_dispatch(info, 5);
-  EXPECT_EQ(fw.queues().fetch_out.read(4, 9, 5), nullptr);  // not yet visible
-  const DispatchInfo* read = fw.queues().fetch_out.read(4, 9, 6);
-  ASSERT_NE(read, nullptr);
-  EXPECT_EQ(read->pc, info.pc);
-  EXPECT_EQ(fw.queues().fetch_out.read(4, 8, 6), nullptr);  // wrong seq
-}
-
 TEST_F(FrameworkFixture, ModuleFaultModesRewriteResults) {
   fw.on_dispatch(make_chk(1, 1, isa::ModuleId::kIcm, true), 0);
   stub->inject_fault(ModuleFaultMode::kFalseAlarm);

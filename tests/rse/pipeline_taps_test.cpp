@@ -255,5 +255,39 @@ skip:
             recorder->dispatches.size());
 }
 
+// The core's commit observer receives, at commit, the same record the
+// framework hands modules one cycle later, syscall included, and that record
+// carries the word as fetched.
+TEST_F(TapsFixture, CommitObserverSeesTheRecordModulesGet) {
+  std::vector<CommitInfo> observed;
+  core->set_commit_observer(
+      [&observed](Cycle, const CommitInfo& info) { observed.push_back(info); });
+  run(R"(
+.data
+.align 4
+var: .word 1234
+.text
+main:
+  lw t0, var
+  addi t0, t0, 1
+  sw t0, var
+  syscall
+)");
+  ASSERT_FALSE(observed.empty());
+  ASSERT_EQ(observed.size(), recorder->commits.size());
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const CommitInfo& seen = observed[i];
+    const CommitInfo& module = recorder->commits[i];
+    EXPECT_EQ(seen.tag, module.tag);
+    EXPECT_EQ(seen.pc, module.pc);
+    EXPECT_EQ(seen.instr.raw, module.instr.raw);
+    EXPECT_EQ(seen.thread, module.thread);
+    EXPECT_EQ(seen.eff_addr, module.eff_addr);
+    EXPECT_EQ(seen.mem_value, module.mem_value);
+    EXPECT_EQ(seen.instr.raw, memory.read_u32(seen.pc)) << "pc 0x" << std::hex << seen.pc;
+  }
+  EXPECT_EQ(observed.back().instr.op, isa::Op::kSyscall);
+}
+
 }  // namespace
 }  // namespace rse::engine

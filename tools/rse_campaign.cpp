@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     campaign::CampaignRunner runner;
 
     if (describe_index) {
-      const campaign::WorkloadSetup setup = campaign::make_workload(spec.workload);
+      const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
       const auto golden = runner.cache().get(setup);
       const campaign::InjectionPlan plan = runner.plan_for(spec, *golden, setup);
       std::cout << campaign::describe(plan.record(*describe_index)) << "\n";

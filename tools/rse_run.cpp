@@ -263,13 +263,12 @@ int main(int argc, char** argv) {
     }
     guest.load(isa::assemble(source));
     if (trace > 0) {
-      machine.core().set_commit_trace(
-          [&trace](Cycle now, Addr pc, const isa::Instr& instr, ThreadId thread) {
-            if (trace == 0) return;
-            --trace;
-            std::cerr << std::setw(10) << now << "  t" << thread << "  0x" << std::hex
-                      << pc << std::dec << "  " << isa::disassemble(instr) << "\n";
-          });
+      machine.core().set_commit_observer([&trace](Cycle now, const engine::CommitInfo& info) {
+        if (trace == 0) return;
+        --trace;
+        std::cerr << std::setw(10) << now << "  t" << info.thread << "  0x" << std::hex
+                  << info.pc << std::dec << "  " << isa::disassemble(info.instr) << "\n";
+      });
     }
     if (enable_icm) guest.enable_module(isa::ModuleId::kIcm);
     if (enable_mlr) guest.enable_module(isa::ModuleId::kMlr);
