@@ -8,11 +8,23 @@
 
 namespace rse::campaign {
 
-GoldenRun simulate_golden(const WorkloadSetup& setup) {
+namespace {
+
+/// A golden run's load-time inputs: the assembled program and its static
+/// analysis, each computed once here and handed to every later load.
+GoldenRun assembled(const WorkloadSetup& setup) {
   GoldenRun golden;
   golden.program = isa::assemble(setup.source);
+  golden.analysis = os::load_analysis(golden.program, setup.os);
+  return golden;
+}
 
-  BootedGuest boot(setup, golden.program, setup.os.run_limit);
+}  // namespace
+
+GoldenRun simulate_golden(const WorkloadSetup& setup) {
+  GoldenRun golden = assembled(setup);
+
+  BootedGuest boot(setup, golden.program, setup.os.run_limit, golden.analysis);
   os::Machine& machine = boot.machine;
   os::GuestOs& guest = boot.guest;
   guest.run();
@@ -36,10 +48,9 @@ GoldenRun simulate_golden(const WorkloadSetup& setup) {
 }
 
 GoldenRun simulate_golden_fast(const WorkloadSetup& setup) {
-  GoldenRun golden;
-  golden.program = isa::assemble(setup.source);
+  GoldenRun golden = assembled(setup);
 
-  BootedGuest boot(setup, golden.program, setup.os.run_limit);
+  BootedGuest boot(setup, golden.program, setup.os.run_limit, golden.analysis);
   os::Machine& machine = boot.machine;
   os::GuestOs& guest = boot.guest;
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "campaign/workload.hpp"
 #include "isa/program.hpp"
 
@@ -16,6 +17,11 @@ namespace rse::campaign {
 
 struct GoldenRun {
   isa::Program program;  // assembled once, shared read-only by all runs
+  /// The program's static analysis under the setup (os::load_analysis),
+  /// computed once with the golden run and handed to every load of a
+  /// campaign; null unless static_cfc or static_ddt is set.  Faults are
+  /// applied only after load, so every run shares it unchanged.
+  std::shared_ptr<const analysis::AnalysisResult> analysis;
   std::string output;
   int exit_code = 0;
   Cycle cycles = 0;

@@ -21,6 +21,8 @@ struct RunResult {
   Outcome outcome = Outcome::kMasked;
   bool fault_applied = false;  // false: workload finished before inject_cycle
   Cycle cycles = 0;            // faulty run length
+
+  bool operator==(const RunResult&) const = default;
 };
 
 struct CampaignSpec {
@@ -29,11 +31,12 @@ struct CampaignSpec {
   u64 seed = 1;
   u32 jobs = 1;  // 0 = std::thread::hardware_concurrency()
   double hang_factor = 8.0;  // cycle budget = golden cycles x this
-  /// Precompute the static CFC legal-successor table at load for the golden
-  /// and every faulty run (OsConfig::static_cfc).
+  /// Install the static CFC legal-successor table at load in the golden and
+  /// every faulty run (OsConfig::static_cfc), from one analysis per campaign
+  /// (GoldenRun::analysis).
   bool static_cfc = false;
-  /// Precompute the static DDT page footprint at load for the golden and
-  /// every faulty run (OsConfig::static_ddt); implies enabling the DDT.
+  /// Install the static DDT page footprint the same way
+  /// (OsConfig::static_ddt); implies enabling the DDT.
   bool static_ddt = false;
   /// Analyzer call model for static_cfc/static_ddt
   /// (OsConfig::footprint_summaries): interprocedural summaries (default)

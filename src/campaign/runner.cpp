@@ -3,13 +3,55 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "campaign/stats.hpp"
 #include "common/error.hpp"
 
 namespace rse::campaign {
+
+void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run) {
+  if (lo >= hi) return;
+  std::atomic<u32> next{lo};
+  std::mutex failure_mu;  // guards the lowest failing index and its exception
+  u32 failed_index = hi;
+  std::exception_ptr failure;
+  const auto worker = [&] {
+    for (u32 index; (index = next.fetch_add(1, std::memory_order_relaxed)) < hi;) {
+      try {
+        run(index);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(failure_mu);
+        if (index < failed_index) {
+          failed_index = index;
+          failure = std::current_exception();
+        }
+      }
+    }
+  };
+  const u32 pool_size = std::min(jobs, hi - lo);
+  if (pool_size <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(pool_size);
+    for (u32 j = 0; j < pool_size; ++j) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
+  if (failure == nullptr) return;
+  const std::string run_name = "run " + std::to_string(failed_index) + ": ";
+  try {
+    std::rethrow_exception(failure);
+  } catch (const std::exception& e) {
+    throw SimError(run_name + e.what());
+  } catch (...) {
+    throw SimError(run_name + "unknown exception");
+  }
+}
 
 CampaignRunner::CampaignRunner(GoldenCache* cache)
     : cache_(cache != nullptr ? cache : &own_cache_) {}
@@ -236,10 +278,11 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
                                        const Prefixes& prefixes,
                                        const dme::CanonicalTrace* dme_reference) const {
   Route route = CampaignRunner::route(golden, record, budget, prefixes);
-  std::optional<BootedGuest> boot(std::in_place, setup, golden.program, budget);
+  std::optional<BootedGuest> boot(std::in_place, setup, golden.program, budget,
+                                  golden.analysis);
   if (route.snapshot != nullptr) {
     // Restore failures are campaign bugs, not guest crashes: let them escape
-    // rather than classify as kCrash.
+    // rather than classify as kCrash (run() reports them with the run index).
     os::MachineSnapshot::restore(*route.snapshot, boot->machine, boot->guest);
   } else if (route.boundary != nullptr) {
     exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
@@ -255,7 +298,7 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
         case exec::FastSession::BailReason::kIllegal: route = Route{.fallback = kIllegal}; break;
         case exec::FastSession::BailReason::kNone: route = Route{.fallback = kOther}; break;
       }
-      boot.emplace(setup, golden.program, budget);
+      boot.emplace(setup, golden.program, budget, golden.analysis);
     }
   }
   if (prefixes.boundaries != nullptr) {
@@ -334,7 +377,7 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
   // bit-identical to the machine state a classic run reaches at that cycle.
   SnapshotChain chain;
   const u32 buckets = std::max(1u, spec.snapshot_buckets);
-  BootedGuest boot(setup, golden.program, budget);
+  BootedGuest boot(setup, golden.program, budget, golden.analysis);
   os::Machine& machine = boot.machine;
   os::GuestOs& guest = boot.guest;
   for (u32 b = 0; b < buckets; ++b) {
@@ -428,7 +471,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
       if (eligible) cycles.push_back(record.inject_cycle);
     }
     if (!cycles.empty()) {
-      BootedGuest boot(setup, golden->program, budget);
+      BootedGuest boot(setup, golden->program, budget, golden->analysis);
       // The same replay that samples boundary positions and in-flight
       // ranges also records the syscall schedule that arms bail-and-resume.
       boundaries = exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles),
@@ -451,32 +494,16 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   }
 
   // Execute plan indices [lo, hi), appending to `results` in index order.
-  // Work distribution stays a single atomic counter; each run writes its own
-  // preallocated slot, so any --jobs value yields identical results.
+  // Each run writes its own preallocated slot, so any --jobs value yields
+  // identical results.
   std::vector<RunResult> results;
   const auto execute = [&](u32 lo, u32 hi) {
     const size_t base = results.size();
     results.resize(base + (hi - lo));
-    std::atomic<u32> next_run{lo};
-    const auto worker = [&] {
-      for (;;) {
-        const u32 index = next_run.fetch_add(1, std::memory_order_relaxed);
-        if (index >= hi) return;
-        const InjectionRecord record = plan.record(index);
-        RunResult& slot = results[base + (index - lo)];
-        slot = run_pipeline(setup, *golden_ptr, record, budget, prefixes,
-                            spec.dme ? &reference : nullptr);
-      }
-    };
-    const u32 pool_size = std::min(jobs, hi - lo);
-    if (pool_size <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(pool_size);
-      for (u32 j = 0; j < pool_size; ++j) pool.emplace_back(worker);
-      for (std::thread& t : pool) t.join();
-    }
+    for_each_run(lo, hi, jobs, [&](u32 index) {
+      results[base + (index - lo)] = run_pipeline(setup, *golden_ptr, plan.record(index), budget,
+                                                  prefixes, spec.dme ? &reference : nullptr);
+    });
   };
 
   execute(shard_lo, shard_hi);

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 
 #include "campaign/golden.hpp"
 #include "campaign/injection.hpp"
@@ -56,6 +57,13 @@ struct FastForwardStats {
            fallback_syscall + fallback_suspend + fallback_illegal + fallback_other;
   }
 };
+
+/// Call `run(index)` once for every index in [lo, hi) on up to `jobs` worker
+/// threads (the calling thread alone for one), handing indices out through
+/// one atomic counter.  Every index runs even after a call throws; after the
+/// workers join, the exception of the lowest index that threw is rethrown as
+/// SimError("run <index>: <what>"), the same error for any `jobs`.
+void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run);
 
 class CampaignRunner {
  public:

@@ -264,13 +264,14 @@ WorkloadSetup make_workload(const std::string& name) {
 }
 
 BootedGuest::BootedGuest(const WorkloadSetup& setup, const isa::Program& program,
-                         Cycle run_limit)
+                         Cycle run_limit,
+                         std::shared_ptr<const analysis::AnalysisResult> analysis)
     : machine(setup.machine), guest(machine, [&] {
         os::OsConfig config = setup.os;
         config.run_limit = run_limit;
         return config;
       }()) {
-  guest.load(program);
+  guest.load(program, std::move(analysis));
   for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
 }
 

@@ -4,6 +4,7 @@
 // loader enables host-side, so golden and faulty runs are built identically.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,15 @@ struct WorkloadSetup {
 
 /// A fresh machine and guest OS with `program` loaded and the setup's
 /// modules enabled, bounded by `run_limit` cycles: how every golden run,
-/// faulty run, boundary replay and snapshot pass starts.
+/// faulty run, boundary replay and snapshot pass starts.  A non-null
+/// `analysis` is the program's load analysis under the setup (a campaign's
+/// GoldenRun::analysis), handed to GuestOs::load in place of an analyzer run.
 struct BootedGuest {
   os::Machine machine;
   os::GuestOs guest;
 
-  BootedGuest(const WorkloadSetup& setup, const isa::Program& program, Cycle run_limit);
+  BootedGuest(const WorkloadSetup& setup, const isa::Program& program, Cycle run_limit,
+              std::shared_ptr<const analysis::AnalysisResult> analysis = nullptr);
 };
 
 /// Build a named workload.  Known names: "loop" (small checked loop,

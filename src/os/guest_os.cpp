@@ -46,7 +46,15 @@ analysis::AnalysisOptions analysis_options(const OsConfig& config) {
   return options;
 }
 
-void GuestOs::load(const isa::Program& program) {
+std::shared_ptr<const analysis::AnalysisResult> load_analysis(const isa::Program& program,
+                                                              const OsConfig& config) {
+  if (!config.static_cfc && !config.static_ddt) return nullptr;
+  return std::make_shared<const analysis::AnalysisResult>(
+      analysis::analyze(program, analysis_options(config)));
+}
+
+void GuestOs::load(const isa::Program& program,
+                   std::shared_ptr<const analysis::AnalysisResult> analysis) {
   // Reset per-process state so the same machine can host successive loads.
   process_exited_ = false;
   exit_code_ = 0;
@@ -120,11 +128,9 @@ void GuestOs::load(const isa::Program& program) {
   threads_.push_back(main_thread);
 
   machine_->core().set_text_range(program.text_base, program.text_end());
-  analysis_.reset();
-  if (config_.static_cfc || config_.static_ddt) {
-    analysis_ = std::make_unique<analysis::AnalysisResult>(
-        analysis::analyze(program, analysis_options(config_)));
-  }
+  analysis_ = analysis != nullptr && (config_.static_cfc || config_.static_ddt)
+                  ? std::move(analysis)
+                  : load_analysis(program, config_);
   if (auto* cfc = machine_->cfc()) {
     cfc->set_text_range(program.text_base, program.text_end());
     // Stale tables from a previous load must not constrain this program.

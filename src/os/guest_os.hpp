@@ -9,11 +9,10 @@
 #include <array>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "analysis/analyzer.hpp"
 #include "common/rng.hpp"
@@ -71,14 +70,16 @@ struct OsConfig {
   u64 max_checkpoint_bytes = 0;   // 0 = unbounded
   Cycle run_limit = 2'000'000'000;
   u64 seed = 42;
-  /// Run the static analyzer at load and install the CFG-derived
-  /// legal-successor table into the CFC module, tightening its indirect-jump
-  /// check from "in text range" to "in the statically computed target set".
+  /// Install the CFG-derived legal-successor table into the CFC module at
+  /// load, tightening its indirect-jump check from "in text range" to "in
+  /// the statically computed target set".  The table comes from the
+  /// program's static analysis (load_analysis): handed to load() when the
+  /// caller has it, computed by the loader otherwise.
   bool static_cfc = false;
-  /// Run the static analyzer at load and hand the DDT the data-flow page
-  /// footprint: PST entries are pre-reserved for the predicted store pages
-  /// and a committed access at a statically resolved site landing outside
-  /// the predicted page set raises a footprint-violation detection.
+  /// Hand the DDT the data-flow page footprint from the same analysis at
+  /// load: PST entries are pre-reserved for the predicted store pages and a
+  /// committed access at a statically resolved site landing outside the
+  /// predicted page set raises a footprint-violation detection.
   bool static_ddt = false;
   /// Analyzer call model behind static_cfc/static_ddt: interprocedural
   /// per-function summaries (default) vs. the flat full-clobber model
@@ -111,6 +112,14 @@ struct OsConfig {
 /// the program with for static_cfc/static_ddt, and what `rse_run --lint`
 /// checks before that run.
 analysis::AnalysisOptions analysis_options(const OsConfig& config);
+
+/// The static analysis GuestOs::load installs for `program` under `config`:
+/// the analyzer's result under analysis_options(config), or null unless
+/// static_cfc or static_ddt asks for one.  It depends on nothing else, so a
+/// caller that loads one program many times computes it once and hands it
+/// to every load (campaign::GoldenRun::analysis).
+std::shared_ptr<const analysis::AnalysisResult> load_analysis(const isa::Program& program,
+                                                              const OsConfig& config);
 
 struct RecoveryReport {
   ThreadId faulty = kNoThread;
@@ -162,8 +171,12 @@ class GuestOs : public cpu::OsClient {
 
   // ---- process lifecycle ----
   /// Load a program: place segments, register ICM checked instructions,
-  /// optionally randomize the layout via the MLR module, create thread 0.
-  void load(const isa::Program& program);
+  /// optionally randomize the layout via the MLR module, install the static
+  /// tables, create thread 0.  A non-null `analysis` must equal
+  /// load_analysis(program, config()): the loader installs it instead of
+  /// running the analyzer (and ignores it when the config asks for none).
+  void load(const isa::Program& program,
+            std::shared_ptr<const analysis::AnalysisResult> analysis = nullptr);
 
   /// Step until the process exits, every thread is dead, the clock reaches
   /// `cycle`, or run_limit hits.  Returns whether the guest is still live
@@ -204,8 +217,9 @@ class GuestOs : public cpu::OsClient {
   /// Current location of the registered GOT (moves on re-randomization).
   Addr got_location() const { return got_addr_; }
 
-  /// Static analysis of the loaded program; null unless OsConfig::static_cfc
-  /// or OsConfig::static_ddt asked the loader to lint-and-precompute.
+  /// Static analysis of the loaded program (load_analysis): the result
+  /// handed to load() if there was one, else the loader's own; null unless
+  /// OsConfig::static_cfc or OsConfig::static_ddt asks for it.
   const analysis::AnalysisResult* program_analysis() const { return analysis_.get(); }
 
   // ---- cpu::OsClient ----
@@ -314,7 +328,7 @@ class GuestOs : public cpu::OsClient {
   Addr heap_base_ = 0;
   Addr shlib_base_ = 0x6000'0000;
 
-  std::unique_ptr<analysis::AnalysisResult> analysis_;
+  std::shared_ptr<const analysis::AnalysisResult> analysis_;
   std::map<Addr, u32> check_error_counts_;
   std::vector<RecoveryReport> recovery_reports_;
   bool record_slices_ = false;

@@ -1,12 +1,17 @@
 // CampaignRunner end-to-end: classification totals, campaign-level
 // determinism (same seed twice; --jobs 1 vs --jobs N), golden-run caching,
-// and single-run reproduction of a parallel campaign's results.
+// single-run reproduction of a parallel campaign's results, and the worker
+// pool's error reporting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "common/error.hpp"
 
 namespace rse::campaign {
 namespace {
@@ -191,6 +196,63 @@ TEST(CampaignRunner, FastForwardStopsAtTheHangBudgetLikeClassic) {
     }
   }
   EXPECT_GT(past_budget, 0u);
+}
+
+/// for_each_run over [lo, hi) with `jobs` workers; `fail` decides what the
+/// callback throws at an index.  Returns the error message, or "" when
+/// nothing escaped, and counts the calls each index got.
+std::string pool_error(u32 lo, u32 hi, u32 jobs, void (*fail)(u32),
+                       std::vector<std::atomic<u32>>& calls) {
+  try {
+    for_each_run(lo, hi, jobs, [&](u32 index) {
+      calls[index].fetch_add(1);
+      fail(index);
+    });
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ForEachRun, AFailingRunBecomesASimErrorNamingItsIndex) {
+  for (const u32 jobs : {1u, 4u}) {
+    std::vector<std::atomic<u32>> calls(64);
+    const std::string error = pool_error(0, 64, jobs, [](u32 index) {
+      if (index == 37) throw std::runtime_error("boom");
+    }, calls);
+    EXPECT_EQ(error, "run 37: boom") << "jobs " << jobs;
+    // The other workers carried on: every index ran exactly once.
+    for (u32 i = 0; i < 64; ++i) EXPECT_EQ(calls[i].load(), 1u) << "index " << i;
+  }
+}
+
+TEST(ForEachRun, TheLowestFailingIndexIsReportedForAnyJobCount) {
+  for (const u32 jobs : {1u, 4u}) {
+    std::vector<std::atomic<u32>> calls(40);
+    const std::string error = pool_error(8, 40, jobs, [](u32 index) {
+      if (index == 31) throw std::runtime_error("late");
+      if (index == 12) throw GuestError("restore failed");
+      if (index == 20) throw 7;
+    }, calls);
+    EXPECT_EQ(error, "run 12: restore failed") << "jobs " << jobs;
+    for (u32 i = 0; i < 40; ++i) EXPECT_EQ(calls[i].load(), i >= 8 ? 1u : 0u) << "index " << i;
+  }
+}
+
+TEST(ForEachRun, ANonStandardExceptionIsReportedToo) {
+  for (const u32 jobs : {1u, 4u}) {
+    std::vector<std::atomic<u32>> calls(16);
+    const std::string error = pool_error(0, 16, jobs, [](u32 index) {
+      if (index == 5) throw 5;
+    }, calls);
+    EXPECT_EQ(error, "run 5: unknown exception") << "jobs " << jobs;
+  }
+}
+
+TEST(ForEachRun, NoFailureMeansNoError) {
+  std::vector<std::atomic<u32>> calls(16);
+  EXPECT_EQ(pool_error(0, 16, 4, [](u32) {}, calls), "");
+  EXPECT_EQ(pool_error(3, 3, 4, [](u32) { throw 1; }, calls), "");
 }
 
 TEST(GoldenCache, DistinctWorkloadsGetDistinctGoldenRuns) {

@@ -39,6 +39,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -208,14 +209,18 @@ int main(int argc, char** argv) {
   if (instrument) source = workloads::instrument_checks(source);
 
   try {
+    const isa::Program program = isa::assemble(source);
+    // The lint gate analyses the configuration the run loads, so its result
+    // is the one --static-cfc/--static-ddt install: load takes it as is.
+    std::shared_ptr<const analysis::AnalysisResult> verdict;
     if (lint) {
-      const analysis::AnalysisResult verdict =
-          analysis::analyze(isa::assemble(source), os::analysis_options(os_config));
-      for (const analysis::Diagnostic& d : verdict.diagnostics) {
+      verdict = std::make_shared<const analysis::AnalysisResult>(
+          analysis::analyze(program, os::analysis_options(os_config)));
+      for (const analysis::Diagnostic& d : verdict->diagnostics) {
         std::cerr << analysis::format_diagnostic(d) << "\n";
       }
-      if (verdict.has_errors()) {
-        std::cerr << "rse_run: refusing to run — " << verdict.count(analysis::Severity::kError)
+      if (verdict->has_errors()) {
+        std::cerr << "rse_run: refusing to run — " << verdict->count(analysis::Severity::kError)
                   << " lint error(s)\n";
         return 1;
       }
@@ -226,7 +231,6 @@ int main(int argc, char** argv) {
       // variant A through the cycle-accurate core, so convergence here also
       // exercises trace parity across both execution engines.
       machine_config.framework_present = true;
-      const isa::Program program = isa::assemble(source);
       std::vector<isa::ModuleId> enables;
       if (enable_icm) enables.push_back(isa::ModuleId::kIcm);
       if (enable_mlr) enables.push_back(isa::ModuleId::kMlr);
@@ -261,7 +265,7 @@ int main(int argc, char** argv) {
       if (io_latency > 0) net.io_latency_mean = io_latency;
       guest.network().configure(net);
     }
-    guest.load(isa::assemble(source));
+    guest.load(program, verdict);
     if (trace > 0) {
       machine.core().set_commit_observer([&trace](Cycle now, const engine::CommitInfo& info) {
         if (trace == 0) return;
@@ -276,7 +280,6 @@ int main(int argc, char** argv) {
     if (enable_ahbm) guest.enable_module(isa::ModuleId::kAhbm);
     if (enable_cfc) guest.enable_module(isa::ModuleId::kCfc);
     if (fast) {
-      const isa::Program program = isa::assemble(source);
       exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
       session.seed_leaders(program);
       const exec::FastSession::Status status = session.run_until(os_config.run_limit);
