@@ -50,10 +50,7 @@ void run_once(const campaign::WorkloadSetup& setup, const isa::Program& program,
     config.superblocks = mode == Mode::kFastSuperblock;
     exec::FastSession session(guest, config);
     session.seed_leaders(program);
-    if (session.run_until(setup.os.run_limit) == exec::FastSession::Status::kBail) {
-      session.transplant(session.virtual_now());
-      guest.run();
-    }
+    session.run_to_end();
     m.instructions += session.executed() - session.engine().chks_executed() +
                       machine.core().stats().instructions;
   } else {

@@ -317,12 +317,7 @@ AnalysisResult analyze(const isa::Program& program, const AnalysisOptions& optio
     }
   }
 
-  FootprintOptions fp_options;
-  fp_options.interprocedural = options.interprocedural_footprint;
-  fp_options.context_depth = options.context_depth;
-  fp_options.field_sensitive = options.field_sensitive;
-  fp_options.sp_depth = options.field_sp_depth;
-  result.footprint = compute_footprint(program, result.cfg, fp_options);
+  result.footprint = compute_footprint(program, result.cfg, options);
 
   const Emitter emit{program, result.diagnostics};
   check_direct_targets(program, result.cfg, emit);

@@ -64,21 +64,39 @@ struct AnalysisOptions {
   /// Resolve non-return indirect jumps to the address-taken set (coarse
   /// CFI).  Off: such blocks always fall back to the CFC range check.
   bool resolve_indirect_address_taken = true;
-  /// Compute per-function parametric summaries and refine call
-  /// fall-throughs with them (see FootprintOptions::interprocedural).
-  /// Off: the flat PR 3 call model (`--flat-footprint` on the tools).
+  /// Compute parametric per-function summaries bottom-up over the call
+  /// graph and use them to refine call fall-through states (clobber masks,
+  /// return-value ranges) instead of the flat full-caller-saved-clobber
+  /// model.  Off = that flat call model, bit-for-bit (`--flat-footprint` on
+  /// the tools, kept reachable for differential measurement).
   bool interprocedural_footprint = true;
-  /// Context-sensitive cloning depth for the footprint pass (see
-  /// FootprintOptions::context_depth; requires interprocedural_footprint).
+  /// Context-sensitive cloning depth for the program-wide footprint pass
+  /// (requires `interprocedural_footprint`; ignored in flat mode).  A
+  /// direct call whose argument registers `$a0`-`$a3` carry a non-Unknown
+  /// abstract tuple enters a per-(callee, argument-tuple) clone of the
+  /// callee's block states instead of the joined context, up to this many
+  /// nested clones per call path; deeper calls, indirect calls, and calls
+  /// past the bounded clone cache fall back soundly to the joined context
+  /// (whose fall-through still applies the joined summary).  Depth > 0 also
+  /// enables spawn contexts: an address-taken thread entry whose only
+  /// unexplained predecessors are thread-create syscalls is seeded with
+  /// `$a0` bound to the join of the create sites' `$a1` arguments.
   /// 0 = the context-insensitive PR 4 behavior, bit-for-bit
   /// (`--context-depth 0` on the tools).
   u32 context_depth = 1;
-  /// Field-sensitive strided-interval footprint domain (see
-  /// FootprintOptions::field_sensitive).  Off = the dense interval
+  /// Field-sensitive strided-interval footprint domain: abstract values
+  /// carry a residue stride (`base + k*stride`) introduced by shifts,
+  /// multiplies and loop-carried induction, joins take the gcd of the
+  /// strides and the base distance, and the page fold emits exact residue
+  /// pages instead of the dense `[lo, hi]` hull.  Off = the dense interval
   /// behavior, bit-for-bit (`--no-field-sensitive` on the tools).
   bool field_sensitive = true;
-  /// Recursion-rung clone budget for field-sensitive mode (see
-  /// FootprintOptions::sp_depth; `--sp-depth` on rse_lint).
+  /// Recursion-context depth for field-sensitive mode: a *recursive* call
+  /// (its callee entry already on the ancestor context chain) clones a
+  /// per-$sp-depth context for up to this many rungs, so each recursion
+  /// level gets its own sp-relative envelope; deeper rungs fall back to the
+  /// joined context (counted in context_fallbacks).  Requires
+  /// `field_sensitive` and `context_depth > 0` (`--sp-depth` on rse_lint).
   u32 field_sp_depth = 2;
 };
 

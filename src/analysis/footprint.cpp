@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 
+#include "analysis/analyzer.hpp"
 #include "isa/semantics.hpp"
 #include "mem/main_memory.hpp"
 
@@ -1582,9 +1583,9 @@ std::vector<Addr> PageFootprint::checked_pcs() const {
 
 PageFootprint compute_footprint(const isa::Program& program,
                                 const ControlFlowGraph& cfg,
-                                const FootprintOptions& options) {
+                                const AnalysisOptions& options) {
   PageFootprint fp;
-  fp.interprocedural = options.interprocedural;
+  fp.interprocedural = options.interprocedural_footprint;
   if (cfg.blocks.empty()) return fp;
 
   // Function-entry candidates, as in the CFG's return-site inference.
@@ -1605,7 +1606,7 @@ PageFootprint compute_footprint(const isa::Program& program,
   const InductionSteps* ind = field ? &induction : nullptr;
   SummaryMap summaries;
   std::vector<i64> thresholds;
-  if (options.interprocedural) {
+  if (options.interprocedural_footprint) {
     thresholds = collect_thresholds(program, cfg);
     summaries = compute_summaries(program, cfg, entries, thresholds, field, ind);
   }
@@ -1616,17 +1617,17 @@ PageFootprint compute_footprint(const isa::Program& program,
   // context_depth > 0; summaries refine what survives a call's
   // fall-through and whether the fall-through is reachable at all. ------
   const u32 effective_depth =
-      options.interprocedural ? options.context_depth : 0;
+      options.interprocedural_footprint ? options.context_depth : 0;
   auto run_pass = [&](const std::map<Addr, AbsVal>* bindings) {
     auto p = std::make_unique<FixpointPass>(program, cfg);
-    p->interprocedural = options.interprocedural;
-    p->summaries = options.interprocedural ? &summaries : nullptr;
+    p->interprocedural = options.interprocedural_footprint;
+    p->summaries = options.interprocedural_footprint ? &summaries : nullptr;
     p->enter_callees = true;
-    if (options.interprocedural) p->thresholds = &thresholds;
+    if (options.interprocedural_footprint) p->thresholds = &thresholds;
     p->context_depth = effective_depth;
     p->spawn_bindings = bindings;
     p->field_sensitive = field;
-    p->sp_depth = field ? options.sp_depth : 0;
+    p->sp_depth = field ? options.field_sp_depth : 0;
     p->induction = ind;
     p->run(program.entry, root_state());
     return p;

@@ -120,43 +120,6 @@ struct FunctionSummary {
   u32 unknown_sites = 0;  // own + callee contributions the summary can't place
 };
 
-/// Knobs for `compute_footprint`.
-struct FootprintOptions {
-  /// Compute parametric per-function summaries bottom-up over the call
-  /// graph and use them to refine call fall-through states (clobber masks,
-  /// return-value ranges) instead of the flat full-caller-saved-clobber
-  /// model.  Off = exact PR 3 behavior (kept reachable as `--flat-footprint`
-  /// for differential measurement).
-  bool interprocedural = true;
-  /// Context-sensitive cloning depth for the program-wide pass (requires
-  /// `interprocedural`; ignored in flat mode).  A direct call whose
-  /// argument registers `$a0`-`$a3` carry a non-Unknown abstract tuple
-  /// enters a per-(callee, argument-tuple) clone of the callee's block
-  /// states instead of the joined context, up to this many nested clones
-  /// per call path; deeper calls, indirect calls, and calls past the
-  /// bounded clone cache fall back soundly to the joined context (whose
-  /// fall-through still applies the joined summary).  Depth > 0 also
-  /// enables spawn contexts: an address-taken thread entry whose only
-  /// unexplained predecessors are thread-create syscalls is seeded with
-  /// `$a0` bound to the join of the create sites' `$a1` arguments.
-  /// 0 = exact PR 4 behavior, bit-for-bit (`--context-depth 0`).
-  u32 context_depth = 1;
-  /// Field-sensitive strided-interval domain: abstract values carry a
-  /// residue stride (`base + k*stride`) introduced by shifts, multiplies
-  /// and loop-carried induction, joins take the gcd of the strides and the
-  /// base distance, and the page fold emits exact residue pages instead of
-  /// the dense `[lo, hi]` hull.  Off = the pre-stride interval behavior,
-  /// bit-for-bit (`--no-field-sensitive`).
-  bool field_sensitive = true;
-  /// Recursion-context depth for field-sensitive mode: a *recursive* call
-  /// (its callee entry already on the ancestor context chain) clones a
-  /// per-$sp-depth context for up to this many rungs, so each recursion
-  /// level gets its own sp-relative envelope; deeper rungs fall back to
-  /// the joined context (counted in context_fallbacks).  Requires
-  /// `field_sensitive` and `context_depth > 0`.
-  u32 sp_depth = 2;
-};
-
 /// Program-wide page-granularity footprint signature.
 struct PageFootprint {
   std::vector<AccessSite> sites;             // every reachable site, by pc
@@ -176,7 +139,7 @@ struct PageFootprint {
   u32 over_sites = 0;
   u32 unknown_sites = 0;
 
-  /// Which call model produced this footprint (FootprintOptions mirror).
+  /// Which call model produced this footprint (AnalysisOptions mirror).
   bool interprocedural = false;
   /// Per-function parametric summaries, sorted by entry.  Empty in flat
   /// mode.  Informational for callers (rse_lint dumps them); the global
@@ -192,7 +155,7 @@ struct PageFootprint {
   u32 context_fallbacks = 0;
   /// Address-taken thread entries whose `$a0` was bound from create sites.
   u32 spawn_contexts = 0;
-  /// Whether the strided-interval domain was active (FootprintOptions
+  /// Whether the strided-interval domain was active (AnalysisOptions
   /// mirror; recorded so consumers can tell the fold discipline apart).
   bool field_sensitive = false;
   /// Recursive calls that entered a per-$sp-depth clone (field mode).
@@ -223,9 +186,12 @@ struct PageFootprint {
   bool empty() const { return sites.empty(); }
 };
 
-/// Runs the abstract interpreter over an already-recovered CFG.
+struct AnalysisOptions;  // analysis/analyzer.hpp
+
+/// Runs the abstract interpreter over an already-recovered CFG, with the
+/// footprint knobs of `options`.
 PageFootprint compute_footprint(const isa::Program& program,
                                 const ControlFlowGraph& cfg,
-                                const FootprintOptions& options = {});
+                                const AnalysisOptions& options);
 
 }  // namespace rse::analysis

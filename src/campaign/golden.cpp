@@ -56,15 +56,10 @@ GoldenRun simulate_golden_fast(const WorkloadSetup& setup) {
 
   exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
   session.seed_leaders(golden.program);
-  // Instructions never outnumber cycles, so the run limit bounds both.
-  const exec::FastSession::Status status = session.run_until(setup.os.run_limit);
-  if (status == exec::FastSession::Status::kBail) {
-    // Outside fast mode's envelope (threads, network I/O, crash recovery):
-    // transplant what was fast-executed and let the cycle-accurate machine
-    // finish — output and exit state stay exact, only timing is hybrid.
-    session.transplant(session.virtual_now());
-    guest.run();
-  }
+  // Outside fast mode's envelope (threads, network I/O, crash recovery) the
+  // cycle-accurate machine finishes the run: output and exit state stay
+  // exact, only timing is hybrid.
+  session.run_to_end();
   if (!guest.finished()) {
     throw ConfigError("fast golden run of workload '" + setup.name + "' hit the run limit");
   }
@@ -79,18 +74,17 @@ GoldenRun simulate_golden_fast(const WorkloadSetup& setup) {
   return golden;
 }
 
-std::shared_ptr<const GoldenRun> GoldenCache::get(const WorkloadSetup& setup, bool fast) {
+std::shared_ptr<const GoldenRun> GoldenCache::get(const WorkloadSetup& setup) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Entry& entry : runs_) {
-    if (entry.fast == fast && entry.setup == setup) {
+    if (entry.setup == setup) {
       ++hits_;
       return entry.golden;
     }
   }
   ++misses_;
-  auto golden = std::make_shared<const GoldenRun>(
-      fast ? simulate_golden_fast(setup) : simulate_golden(setup));
-  runs_.push_back(Entry{setup, fast, golden});
+  auto golden = std::make_shared<const GoldenRun>(simulate_golden(setup));
+  runs_.push_back(Entry{setup, golden});
   return golden;
 }
 

@@ -50,20 +50,19 @@ GoldenRun simulate_golden(const WorkloadSetup& setup);
 /// detector baselines are zero by construction (no framework activity in
 /// fast mode).  Campaign classification keeps using the cycle-accurate
 /// golden — injection-plan cycles, hang budgets, and digests depend on real
-/// golden cycles; the fast baseline serves rse_run --fast and the
-/// throughput benches (docs/execution.md).  Falls back to cycle-accurate
-/// execution mid-run when the workload leaves fast mode's envelope.
+/// golden cycles; the fast baseline serves perfbench's fast-sim workload and
+/// tests (docs/execution.md).  Falls back to cycle-accurate execution
+/// mid-run when the workload leaves fast mode's envelope.
 GoldenRun simulate_golden_fast(const WorkloadSetup& setup);
 
-/// Thread-safe cache of golden runs keyed by the whole workload setup (name,
-/// source, every machine and OS config field, host-enabled modules) and the
-/// execution mode: two setups share a golden run only if they are equal.
+/// Thread-safe cache of cycle-accurate golden runs keyed by the whole
+/// workload setup (name, source, every machine and OS config field,
+/// host-enabled modules): two setups share a golden run only if they are
+/// equal.
 class GoldenCache {
  public:
-  /// Fetch the golden run, simulating it on first use.  `fast` selects the
-  /// fast-engine baseline and is part of the cache key — the two modes'
-  /// baselines must never alias (their cycle counts differ).
-  std::shared_ptr<const GoldenRun> get(const WorkloadSetup& setup, bool fast = false);
+  /// Fetch the golden run, simulating it on first use.
+  std::shared_ptr<const GoldenRun> get(const WorkloadSetup& setup);
 
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
@@ -71,7 +70,6 @@ class GoldenCache {
  private:
   struct Entry {
     WorkloadSetup setup;
-    bool fast = false;
     std::shared_ptr<const GoldenRun> golden;
   };
 

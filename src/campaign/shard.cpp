@@ -44,6 +44,16 @@ T expect_value(std::istream& in, const std::string& key) {
   return value;
 }
 
+/// A run line's numeral for a field whose largest value is `last`; a bare
+/// cast would turn `reg 999` into register 231.
+template <typename T>
+T run_field(unsigned value, T last, const char* name, const std::string& line) {
+  if (value > static_cast<unsigned>(last)) {
+    malformed(std::string(name) + " " + std::to_string(value) + " out of range: " + line);
+  }
+  return static_cast<T>(value);
+}
+
 }  // namespace
 
 std::string shard_report_text(const CampaignReport& report) {
@@ -166,12 +176,14 @@ CampaignReport parse_shard_report(const std::string& text) {
     if (!parse_outcome(outcome_name, &result.outcome)) {
       malformed("unknown outcome '" + outcome_name + "'");
     }
-    r.reg = static_cast<u8>(reg);
-    r.bit = static_cast<u8>(bit);
-    r.config_kind = static_cast<ConfigFaultKind>(config_kind);
-    r.ioq_fault = static_cast<engine::IoqStuckFault>(ioq_fault);
-    r.module = static_cast<isa::ModuleId>(module);
-    r.module_fault = static_cast<engine::ModuleFaultMode>(module_fault);
+    r.reg = run_field(reg, kPcPseudoReg, "reg", line);
+    r.bit = run_field(bit, u8{31}, "bit", line);
+    r.config_kind =
+        run_field(config_kind, ConfigFaultKind::kModuleBehaviour, "config_kind", line);
+    r.ioq_fault = run_field(ioq_fault, engine::IoqStuckFault::kCheckStuck1, "ioq_fault", line);
+    r.module = run_field(module, isa::ModuleId::kCfc, "module", line);
+    r.module_fault =
+        run_field(module_fault, engine::ModuleFaultMode::kFalseNegative, "module_fault", line);
     result.fault_applied = applied != 0;
     results.push_back(result);
   }

@@ -513,7 +513,6 @@ void Core::stage_dispatch(Cycle now) {
     engine::DispatchInfo di;
     di.tag = engine::InstrTag{index, e.seq};
     di.pc = f.pc;
-    di.raw = f.raw;
     di.instr = f.instr;
     di.thread = thread_;
     di.wrong_path = f.wrong_path;
@@ -580,7 +579,6 @@ void Core::stage_fetch(Cycle now) {
 
     FetchedInstr f;
     f.pc = fetch_pc_;
-    f.raw = raw;
     f.instr = isa::decode(raw);
     f.wrong_path = wrong_path_mode_;
     f.ready_at = done;

@@ -151,11 +151,17 @@ class Core {
   /// on_commit receives (for memory operations, the alignment-masked
   /// effective address and memory value).  It fires after the CHECK-error
   /// test and before the framework and the syscall handler see the commit.
-  /// Its users: rse_run --trace, DME trace recording and checking, the
-  /// fast-forward syscall schedule, and tests.  Like every hook, it is
-  /// excluded from serialize_state (snapshots never capture callbacks).
+  /// It is the one commit stream of a run whichever engine commits: an
+  /// exec::FastSession on this core reports each instruction it commits
+  /// here too, and after a bail the core continues the same stream (the
+  /// session's contract is in exec/fast_session.hpp; its `now` is virtual
+  /// time).  Its users: rse_run --trace (classic and --fast), DME trace
+  /// recording (both engines) and checking, the fast-forward syscall
+  /// schedule, and tests.  Like every hook, it is excluded from
+  /// serialize_state (snapshots never capture callbacks).
   using CommitObserver = std::function<void(Cycle now, const engine::CommitInfo& info)>;
   void set_commit_observer(CommitObserver observer) { commit_observer_ = std::move(observer); }
+  const CommitObserver& commit_observer() const { return commit_observer_; }
 
   /// Execution-path fault injection: applied to the computed next PC of
   /// every control-flow instruction (pc, next) -> next'.  Models a soft
@@ -222,8 +228,7 @@ class Core {
  private:
   struct FetchedInstr {
     Addr pc = 0;
-    Word raw = 0;
-    isa::Instr instr;
+    isa::Instr instr;  // instr.raw is the word as fetched
     bool predicted_taken = false;
     Addr predicted_next = 0;
     bool wrong_path = false;

@@ -6,25 +6,36 @@
 
 namespace rse::exec {
 
-using isa::Op;
+FastEngine::Stop FastEngine::run_until(u64 target, CommitSink* sink) {
+  // One loop, instantiated twice.  A report in the single loop, even behind
+  // a branch nobody takes, cost the unobserved loop its registers.
+  return sink != nullptr ? run<true>(target, sink) : run<false>(target, nullptr);
+}
 
-FastEngine::Stop FastEngine::run_until(u64 target) {
+template <bool kReport>
+FastEngine::Stop FastEngine::run(u64 target, CommitSink* sink) {
   // isa::execute's view of the fast engine: registers in place, memory
   // through the direct-memory TLB.  A store landing in the text segment
   // drops overlapping cached blocks — possibly the one being executed — so
-  // it flags the inner loop to end before touching `block` again.
+  // it flags the inner loop to end before touching `block` again.  The last
+  // access's address and value are kept for the commit record.
   struct Adapter {
     FastEngine& self;
     bool invalidated = false;
+    Addr eff_addr = 0;
+    Word mem_value = 0;
     Word reg(u8 r) const { return self.regs_[r]; }
     void write(u8 r, Word value) { self.regs_[r] = value; }
     Word load(Addr ea, u32 size) {
+      eff_addr = ea;
       Word value = 0;
       std::memcpy(&value, self.data_host(ea), size);
       return value;
     }
-    void loaded(Word) {}
+    void loaded(Word value) { mem_value = value; }
     void store(Addr ea, u32 size, Word value) {
+      eff_addr = ea;
+      mem_value = value;
       std::memcpy(self.data_host(ea), &value, size);
       if (ea < self.text_hi_ && ea + size > self.text_lo_) {
         self.cache_->invalidate(ea, size);
@@ -59,11 +70,15 @@ FastEngine::Stop FastEngine::run_until(u64 target) {
         return Stop::kBoundary;
       }
       const isa::Instr in = block->instrs[i];
-      if (trace_ && in.op != Op::kSyscall && in.op != Op::kInvalid) trace_instr(pc, in);
       const isa::Step step = isa::execute(in, pc, adapter);
       if (step.trap != isa::Trap::kNone) {
         pc_ = pc;
         return step.trap == isa::Trap::kSyscall ? Stop::kSyscall : Stop::kIllegal;
+      }
+      if constexpr (kReport) {
+        const bool mem = isa::access_size(in.op) != 0;
+        sink->commit(engine::CommitInfo{{}, pc, in, kNoThread, mem ? adapter.eff_addr : 0,
+                                        mem ? adapter.mem_value : 0});
       }
 
       ++executed_;
@@ -115,30 +130,6 @@ FastEngine::Stop FastEngine::run_until(u64 target) {
     block = succ;
   }
   return Stop::kBoundary;
-}
-
-void FastEngine::trace_instr(Addr pc, const isa::Instr& in) {
-  // Mirror cpu::Core's commit evidence exactly (the DME differential suite
-  // pins fast-recorded == cycle-recorded): the raw fetched word, the
-  // alignment-masked effective address, the post-sign-extension value for
-  // loads (read *before* execution — loads don't write memory, so pre ==
-  // post), and the unmasked rt for stores.
-  Word raw;
-  std::memcpy(&raw, data_host(pc), 4);
-  const u32 size = isa::access_size(in.op);
-  const bool is_store = in.op_class() == isa::OpClass::kStore;
-  Addr ea = 0;
-  Word value = 0;
-  if (size != 0) {
-    ea = isa::effective_address(regs_[in.rs], in, size);
-    if (is_store) {
-      value = regs_[in.rt];
-    } else {
-      std::memcpy(&value, data_host(ea), size);
-      value = isa::load_extend(in.op, value);
-    }
-  }
-  trace_(pc, raw, size != 0, is_store, ea, value);
 }
 
 }  // namespace rse::exec

@@ -21,11 +21,11 @@
 #pragma once
 
 #include <array>
-#include <functional>
 
 #include "exec/block_cache.hpp"
 #include "isa/instruction.hpp"
 #include "mem/main_memory.hpp"
+#include "rse/frame_types.hpp"
 
 namespace rse::exec {
 
@@ -47,9 +47,27 @@ class FastEngine {
     kIllegal,   ///< PC rests on an undecodable word (or outside text)
   };
 
+  /// Receiver of the engine's commits (FastSession).  After each instruction
+  /// executes, and before executed() counts it, the engine hands over the
+  /// engine::CommitInfo the cycle-accurate core commits for it: pc, instr
+  /// (instr.raw is the word as fetched), and for loads and stores the
+  /// alignment-masked effective address and the memory value (the extended
+  /// loaded value, or the unmasked rt); both are zero otherwise.  `tag` and
+  /// `thread` are left for the receiver.  Syscalls and illegal words stop
+  /// the engine unexecuted and are not handed over.
+  class CommitSink {
+   public:
+    virtual void commit(engine::CommitInfo info) = 0;
+
+   protected:
+    ~CommitSink() = default;
+  };
+
   /// Execute until total executed() reaches `target` or a syscall/illegal
-  /// word is reached, whichever is first.
-  Stop run_until(u64 target);
+  /// word is reached, whichever is first.  Every executed instruction goes
+  /// to `sink` when one is given; without one the loop carries no reporting
+  /// code at all.
+  Stop run_until(u64 target, CommitSink* sink = nullptr);
 
   // ---- architectural state ----
   Word reg(u8 index) const { return regs_[index]; }
@@ -74,20 +92,10 @@ class FastEngine {
   /// `instructions`, so instruction-count comparisons subtract these.
   u64 chks_executed() const { return chks_executed_; }
 
-  /// Per-instruction trace hook (DME reference recording, rse/dme.hpp):
-  /// fired before each instruction executes with the same fields the cycle-
-  /// accurate core's commit observer reports — raw fetched word, masked
-  /// effective address, and the memory value (post-sign-extension loaded
-  /// value for loads, unmasked rt for stores).  Syscalls and illegal words
-  /// stop the engine unexecuted and are NOT traced here; FastSession emits
-  /// the record for the syscalls it delegates.  Unset in production runs —
-  /// the inner loop pays one branch.
-  using TraceHook =
-      std::function<void(Addr pc, Word raw, bool is_mem, bool is_store, Addr ea, Word value)>;
-  void set_trace(TraceHook hook) { trace_ = std::move(hook); }
-
  private:
-  void trace_instr(Addr pc, const isa::Instr& in);
+  /// run_until's loop; the kReport copy hands every instruction to `sink`.
+  template <bool kReport>
+  Stop run(u64 target, CommitSink* sink);
 
   // One-entry data TLB: guest page -> host pointer.  Pages are stable
   // (mem::MainMemory keeps them behind unique_ptr), so entries stay valid
@@ -113,8 +121,6 @@ class FastEngine {
 
   u32 dtlb_page_ = ~0u;
   u8* dtlb_host_ = nullptr;
-
-  TraceHook trace_;
 };
 
 }  // namespace rse::exec

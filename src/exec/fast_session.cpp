@@ -70,38 +70,42 @@ bool FastSession::resume_eligible(u32 number) const {
   return true;
 }
 
-void FastSession::set_instr_trace(FastEngine::TraceHook hook) {
-  trace_ = std::move(hook);
-  engine_.set_trace(trace_);
+void FastSession::commit(engine::CommitInfo info) { report(virtual_now(), info); }
+
+void FastSession::report(Cycle now, engine::CommitInfo info) const {
+  const cpu::Core& core = machine_->core();
+  info.thread = core.thread();
+  core.commit_observer()(now, info);
 }
 
-void FastSession::trace_syscall() {
-  // The engine stopped ON the syscall without executing it; the session
-  // commits it, so the session emits its trace record — at the syscall's own
-  // PC, matching the cycle-accurate core's commit observer (which reports
-  // syscalls with no memory evidence).
-  if (!trace_) return;
+cpu::OsClient::SyscallResult FastSession::commit_syscall(Cycle now) {
+  // The engine stopped ON the syscall without executing it.  Commit it the
+  // way the core does: the PC moves past the syscall at dispatch, the
+  // observer sees the commit, then the OS handler runs against the
+  // architectural registers.
+  cpu::Core& core = machine_->core();
   const Addr pc = engine_.pc();
-  trace_(pc, machine_->memory().read_u32(pc), /*is_mem=*/false, /*is_store=*/false, 0, 0);
+  engine_.set_pc(pc + 4);
+  for (u8 r = 1; r < isa::kNumRegs; ++r) core.set_reg(r, engine_.reg(r));
+  core.set_pc(engine_.pc());
+  if (core.commit_observer()) {
+    // No memory access: eff_addr and mem_value stay zero, as the core's.
+    engine::CommitInfo info;
+    info.pc = pc;
+    info.instr = isa::decode(machine_->memory().read_u32(pc));
+    report(now, info);
+  }
+  const cpu::OsClient::SyscallResult result = guest_->on_syscall(now);
+  stall_accum_ += result.stall;
+  engine_.credit_instruction();
+  return result;
 }
 
 FastSession::Status FastSession::execute_syscall() {
-  cpu::Core& core = machine_->core();
-  trace_syscall();
-  // Mirror the core's commit semantics: the PC moves past the syscall at
-  // dispatch, then the OS handler runs against the architectural registers.
-  engine_.set_pc(engine_.pc() + 4);
-  for (u8 r = 1; r < isa::kNumRegs; ++r) core.set_reg(r, engine_.reg(r));
-  core.set_pc(engine_.pc());
-  if (probe_) probe_(engine_.pc(), engine_.regs());
-
-  const cpu::OsClient::SyscallResult result = guest_->on_syscall(virtual_now());
-  stall_accum_ += result.stall;
-
-  const cpu::ThreadContext ctx = core.context();
+  const cpu::OsClient::SyscallResult result = commit_syscall(virtual_now());
+  const cpu::ThreadContext ctx = machine_->core().context();
   engine_.set_regs(ctx.regs);
   engine_.set_pc(ctx.pc);
-  engine_.credit_instruction();
 
   if (guest_->finished()) return Status::kExited;
   if (result.suspend) {
@@ -138,16 +142,7 @@ FastSession::Status FastSession::execute_syscall_excursion(u64 target) {
   // commit cycle — which the direct handler call below skips.
   machine_->warp_to(when - 1);
 
-  trace_syscall();
-  engine_.set_pc(engine_.pc() + 4);
-  for (u8 r = 1; r < isa::kNumRegs; ++r) core.set_reg(r, engine_.reg(r));
-  core.set_pc(engine_.pc());
-  if (probe_) probe_(engine_.pc(), engine_.regs());
-
-  const cpu::OsClient::SyscallResult result = guest_->on_syscall(when);
-  stall_accum_ += result.stall;
-  engine_.credit_instruction();
-
+  const cpu::OsClient::SyscallResult result = commit_syscall(when);
   if (guest_->finished()) return Status::kExited;
 
   if (result.suspend) {
@@ -216,8 +211,10 @@ FastSession::Status FastSession::run_until(u64 target_instructions) {
     const Status status = resume_from_suspension();
     if (status != Status::kBoundary) return status;
   }
+  // Report commits only when someone observes them.
+  CommitSink* const sink = machine_->core().commit_observer() ? this : nullptr;
   while (engine_.executed() < target_instructions) {
-    const FastEngine::Stop stop = engine_.run_until(target_instructions);
+    const FastEngine::Stop stop = engine_.run_until(target_instructions, sink);
     if (stop == FastEngine::Stop::kBoundary) break;
     if (stop == FastEngine::Stop::kIllegal) {
       bail_ = BailReason::kIllegal;
@@ -239,6 +236,18 @@ FastSession::Status FastSession::run_until(u64 target_instructions) {
     if (status != Status::kBoundary) return status;
   }
   return Status::kBoundary;
+}
+
+FastSession::Status FastSession::run_to_end() {
+  const Status status = run_until(guest_->config().run_limit);
+  if (status == Status::kBail) {
+    // Outside fast mode's envelope (threads, network I/O, an illegal word):
+    // hand the exact current state to the cycle-accurate core, which keeps
+    // the same commit stream going.
+    transplant(virtual_now());
+    guest_->run();
+  }
+  return status;
 }
 
 void FastSession::transplant(Cycle target_cycle) {

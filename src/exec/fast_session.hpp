@@ -4,6 +4,26 @@
 // output/brk/rng state stay exactly on the classic trajectory), and
 // transplants the resulting state back into cpu::Core.
 //
+// A session reports its commits to the core's commit observer
+// (cpu::Core::set_commit_observer), so a run that starts fast and bails
+// into the core is one commit stream: every committed instruction reaches
+// the observer once, in program order, with the engine::CommitInfo the core
+// delivers for it.  The contract:
+//  - each fast-executed instruction is reported after it executes; each
+//    syscall the session delegates or runs as an excursion is reported
+//    once, after its registers and post-syscall PC are written into the
+//    core and before its handler runs, so core.context() inside the
+//    observer shows what the classic observer sees at that commit (for a
+//    fast-executed instruction the core's context is not kept current);
+//  - the instruction a bail rests on (an unexecuted syscall or an illegal
+//    word) is never reported: the core commits and reports it;
+//  - `tag` is zero and `thread` is core.thread();
+//  - `now` is the session's clock: virtual_now() before the instruction
+//    counts, or an excursion's cycle;
+//  - with no observer on the core, the session runs the engine loop that
+//    carries no reporting code, so an unobserved run costs what it did
+//    before the session reported anything.
+//
 // With `resume` enabled the session additionally survives non-whitelisted
 // syscalls: it runs the handler on the real guest OS as an *excursion* —
 // in strict mode at exactly the cycle the classic run committed the syscall
@@ -19,9 +39,7 @@
 // Switchover guarantees and the eligibility rules live in docs/execution.md.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <utility>
 
 #include "exec/block_cache.hpp"
 #include "exec/fast_engine.hpp"
@@ -55,7 +73,7 @@ struct FastSessionConfig {
   bool superblocks = true;
 };
 
-class FastSession {
+class FastSession : private FastEngine::CommitSink {
  public:
   enum class Status {
     kBoundary,  ///< reached the requested instruction-count target
@@ -84,6 +102,13 @@ class FastSession {
   /// hands the cycle-accurate core a consistent context.
   Status run_until(u64 target_instructions);
 
+  /// Run the guest to its end: fast until it exits or the guest's run limit
+  /// (instructions never outnumber cycles, so the limit bounds both), and on
+  /// a bail transplant at virtual_now() and finish on the cycle-accurate
+  /// core (GuestOs::run).  Returns the fast leg's status: kBail means the
+  /// core finished the run.
+  Status run_to_end();
+
   u64 executed() const { return engine_.executed(); }
   BailReason bail_reason() const { return bail_; }
   /// Virtual time: cycles at session start + instructions + syscall stalls,
@@ -96,22 +121,6 @@ class FastSession {
   /// Seed the block cache with the static CFG's leaders (analysis/cfg.hpp)
   /// so dynamic blocks line up with the statically recovered ones.
   void seed_leaders(const isa::Program& program);
-
-  /// Observability probe fired at every delegated syscall boundary, after
-  /// the PC has moved past the syscall but before the handler runs — the
-  /// exact (pc, regs) the cycle-accurate core exposes when the same syscall
-  /// commits.  The differential suite compares these snapshots between
-  /// modes; production callers leave it unset.
-  using SyscallProbe = std::function<void(Addr pc, const std::array<Word, isa::kNumRegs>&)>;
-  void set_syscall_probe(SyscallProbe probe) { probe_ = std::move(probe); }
-
-  /// Instruction trace hook (DME reference recording): installs the engine's
-  /// per-instruction hook and additionally emits a record for each syscall
-  /// the session delegates or runs as an excursion — at the syscall's own PC,
-  /// before the PC moves past it — so the traced stream is exactly the
-  /// committed-instruction stream the cycle-accurate core's commit observer
-  /// reports.  Install before run_until.
-  void set_instr_trace(FastEngine::TraceHook hook);
 
   /// Transplant fast-mode architectural state (regs, pc) into the
   /// cycle-accurate core and warp the machine clock to `target_cycle`.
@@ -127,7 +136,9 @@ class FastSession {
  private:
   bool syscall_allowed(u32 number) const;
   bool resume_eligible(u32 number) const;
-  void trace_syscall();
+  void commit(engine::CommitInfo info) override;
+  void report(Cycle now, engine::CommitInfo info) const;
+  cpu::OsClient::SyscallResult commit_syscall(Cycle now);
   Status execute_syscall();
   Status execute_syscall_excursion(u64 target);
   Status resume_from_suspension();
@@ -142,8 +153,6 @@ class FastSession {
   Cycle floor_ = 0;  // machine clock after the last replayed suspension
   bool suspended_ = false;
   BailReason bail_ = BailReason::kNone;
-  SyscallProbe probe_;
-  FastEngine::TraceHook trace_;
 };
 
 }  // namespace rse::exec

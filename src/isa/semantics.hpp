@@ -97,9 +97,12 @@ void store(const Instr& in, Word base, Word value, M& m) {
 
 }  // namespace detail
 
-/// Executes `in`, fetched at `pc`, against the adapter `m`.
+/// Executes `in`, fetched at `pc`, against the adapter `m`.  Always inlined:
+/// each engine's loop is built around this switch (the fast engine has two
+/// loops, observed and unobserved, and the inliner would otherwise leave
+/// both calling it out of line).
 template <class M>
-Step execute(const Instr& in, Addr pc, M& m) {
+[[gnu::always_inline]] inline Step execute(const Instr& in, Addr pc, M& m) {
   const Word rs = m.reg(in.rs);
   const Word rt = m.reg(in.rt);
   const u32 uimm = static_cast<u32>(in.imm) & 0xFFFFu;

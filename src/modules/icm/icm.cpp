@@ -71,7 +71,7 @@ void IcmModule::on_dispatch(const engine::DispatchInfo& info, Cycle now) {
     if (check.state != PendingCheck::State::kAwaitInstr) continue;
     check.inst_tag = info.tag;
     check.pc = info.pc;
-    check.pipeline_copy = info.raw;
+    check.pipeline_copy = info.instr.raw;
     check.acquired_at = now;
     ++stats_.checks_started;
     // ICM_IDLE stage: look up the redundant copy in the Icm_Cache.

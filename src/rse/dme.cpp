@@ -6,22 +6,6 @@
 
 namespace rse::dme {
 
-namespace {
-
-void install_core_recorder(os::Machine& machine, const RegionMap& map, CanonicalTrace* out,
-                           u64 max_records) {
-  machine.core().set_commit_observer(
-      [map, out, max_records](Cycle, const engine::CommitInfo& info) {
-        if (out->records.size() >= max_records) {
-          out->truncated = true;
-          return;
-        }
-        out->records.push_back(make_record(map, info));
-      });
-}
-
-}  // namespace
-
 RecordedTrace record_trace(const VariantSpec& spec, const isa::Program& program,
                            u64 max_records, bool prefer_fast) {
   os::MachineConfig machine_config = spec.machine;
@@ -37,33 +21,24 @@ RecordedTrace record_trace(const VariantSpec& spec, const isa::Program& program,
 
   RecordedTrace result;
   result.map = RegionMap::of(guest);
+  machine.core().set_commit_observer(
+      [map = result.map, out = &result.trace, max_records](Cycle, const engine::CommitInfo& info) {
+        if (out->records.size() >= max_records) {
+          out->truncated = true;
+          return;
+        }
+        out->records.push_back(make_record(map, info));
+      });
 
   if (prefer_fast) {
     // Second consumer of the fast-path engine: the fault-free variant body
     // runs functionally, and any bail (non-whitelisted syscall, threads,
-    // illegal word) transplants into the cycle-accurate core which keeps
-    // appending to the same trace — the stream stays the committed-
-    // instruction stream throughout.
+    // illegal word) transplants into the cycle-accurate core, which keeps
+    // feeding the same recorder.
     exec::FastSession session(guest, exec::FastSessionConfig{});
-    session.set_instr_trace([map = result.map, out = &result.trace, max_records](
-                                Addr pc, Word raw, bool is_mem, bool is_store, Addr ea,
-                                Word value) {
-      if (out->records.size() >= max_records) {
-        out->truncated = true;
-        return;
-      }
-      out->records.push_back(make_record(map, pc, raw, is_mem, is_store, ea, value));
-    });
     session.seed_leaders(program);
-    const exec::FastSession::Status status = session.run_until(os_config.run_limit);
-    result.fast = status != exec::FastSession::Status::kBail;
-    if (status == exec::FastSession::Status::kBail) {
-      session.transplant(session.virtual_now());
-      install_core_recorder(machine, result.map, &result.trace, max_records);
-      guest.run();
-    }
+    result.fast = session.run_to_end() != exec::FastSession::Status::kBail;
   } else {
-    install_core_recorder(machine, result.map, &result.trace, max_records);
     guest.run();
   }
 

@@ -103,27 +103,23 @@ struct CanonicalTrace {
 /// short workloads; the cap keeps a runaway variant from exhausting memory.
 inline constexpr u64 kDefaultMaxRecords = 2'000'000;
 
-inline TraceRecord make_record(const RegionMap& map, Addr pc, Word raw, bool is_mem,
-                               bool is_store, Addr ea, Word value) {
-  TraceRecord r;
-  r.pc = pc;
-  r.raw = raw;
-  r.flags = static_cast<u8>((is_mem ? kFlagMem : 0) | (is_store ? kFlagStore : 0));
-  if (is_mem) {
-    r.ea = ea;
-    r.value = value;
-    r.ea_canon = map.canonicalize(ea);
-    r.value_canon = static_cast<Word>(map.canonicalize(value));
-  }
-  return r;
-}
-
-/// The record of one instruction the cycle-accurate core committed.
+/// The record of one committed instruction, as the core's commit observer
+/// delivers it (from either engine).
 inline TraceRecord make_record(const RegionMap& map, const engine::CommitInfo& info) {
   const isa::OpClass cls = info.instr.op_class();
   const bool is_store = cls == isa::OpClass::kStore;
-  return make_record(map, info.pc, info.instr.raw, is_store || cls == isa::OpClass::kLoad,
-                     is_store, info.eff_addr, info.mem_value);
+  const bool is_mem = is_store || cls == isa::OpClass::kLoad;
+  TraceRecord r;
+  r.pc = info.pc;
+  r.raw = info.instr.raw;
+  r.flags = static_cast<u8>((is_mem ? kFlagMem : 0) | (is_store ? kFlagStore : 0));
+  if (is_mem) {
+    r.ea = info.eff_addr;
+    r.value = info.mem_value;
+    r.ea_canon = map.canonicalize(info.eff_addr);
+    r.value_canon = static_cast<Word>(map.canonicalize(info.mem_value));
+  }
+  return r;
 }
 
 /// Streaming comparator: feed variant-A records as they commit, against the
@@ -202,12 +198,13 @@ struct RecordedTrace {
   bool fast = false;  // recorded through the fast-path engine (no bail)
 };
 
-/// Run the variant fault-free and record its canonical trace.  With
-/// `prefer_fast` the fault-free body executes on the exec/ fast engine (the
-/// engine's second consumer after campaign fast-forward) and falls back to
-/// the cycle-accurate core mid-run on any bail — the recorded stream is the
-/// committed-instruction stream either way, which the differential suite
-/// pins.
+/// Run the variant fault-free and record its canonical trace through one
+/// recorder on the core's commit observer.  With `prefer_fast` the
+/// fault-free body executes on the exec/ fast engine (the engine's second
+/// consumer after campaign fast-forward), which reports to the same
+/// observer, and falls back to the cycle-accurate core mid-run on any bail —
+/// the recorded stream is the committed-instruction stream either way, which
+/// the differential suite pins.
 RecordedTrace record_trace(const VariantSpec& spec, const isa::Program& program,
                            u64 max_records = kDefaultMaxRecords, bool prefer_fast = true);
 

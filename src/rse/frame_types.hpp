@@ -26,8 +26,7 @@ struct InstrTag {
 struct DispatchInfo {
   InstrTag tag;
   Addr pc = 0;
-  Word raw = 0;  // instruction bits exactly as fetched (ICM compares these)
-  isa::Instr instr;
+  isa::Instr instr;  // instr.raw: the bits exactly as fetched (ICM compares these)
   ThreadId thread = kNoThread;
   Word operands[2] = {0, 0};  // register operand values (Regfile_Data)
   u8 operand_count = 0;

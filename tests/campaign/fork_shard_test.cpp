@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -146,6 +147,35 @@ TEST_F(ForkShardTest, ShardReportTextRoundTripsEveryDeterministicField) {
     EXPECT_EQ(report.results[i].cycles, round.results[i].cycles) << i;
   }
   EXPECT_THROW(campaign::parse_shard_report("not a shard report\n"), SimError);
+}
+
+TEST_F(ForkShardTest, ShardReaderRejectsOutOfRangeRunFields) {
+  const std::string text = campaign::shard_report_text(runner_.run(small_spec("loop", 2)));
+  ASSERT_NO_THROW(campaign::parse_shard_report(text));
+  const std::size_t begin = text.find("\nrun ") + 1;
+  const std::size_t end = text.find('\n', begin);
+  std::vector<std::string> fields;
+  std::istringstream line(text.substr(begin, end - begin));
+  for (std::string field; line >> field;) fields.push_back(field);
+  ASSERT_EQ(fields.size(), 16u);
+  // Field position on a run line, and one past the field's range.
+  const std::pair<std::size_t, const char*> past_range[] = {
+      {4, "33"},   // reg: kPcPseudoReg is 32
+      {5, "32"},   // bit
+      {8, "2"},    // config_kind: kModuleBehaviour is 1
+      {10, "5"},   // ioq_fault: kCheckStuck1 is 4
+      {11, "6"},   // module: kCfc is 5
+      {12, "4"},   // module_fault: kFalseNegative is 3
+  };
+  for (const auto& [index, value] : past_range) {
+    std::vector<std::string> mutated = fields;
+    mutated[index] = value;
+    std::string run_line;
+    for (const std::string& field : mutated) run_line += (run_line.empty() ? "" : " ") + field;
+    const std::string bad = text.substr(0, begin) + run_line + text.substr(end);
+    EXPECT_THROW(campaign::parse_shard_report(bad), SimError)
+        << "field " << index << " = " << value;
+  }
 }
 
 // ---- digest key regressions: one test per new spec token ----------------

@@ -44,8 +44,8 @@ TEST(SharedAnalysis, GoldenRunWithoutStaticFlagsHoldsNull) {
   GoldenCache cache;
   const WorkloadSetup setup = make_workload("calls");
   EXPECT_EQ(cache.get(setup)->analysis, nullptr);
-  EXPECT_EQ(cache.get(setup, /*fast=*/true)->analysis, nullptr);
-  EXPECT_NE(cache.get(static_setup("calls"), /*fast=*/true)->analysis, nullptr);
+  EXPECT_EQ(simulate_golden_fast(setup).analysis, nullptr);
+  EXPECT_NE(simulate_golden_fast(static_setup("calls")).analysis, nullptr);
 }
 
 TEST(SharedAnalysis, LoadWithoutAHandedResultStillAnalyses) {

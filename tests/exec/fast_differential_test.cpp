@@ -1,13 +1,17 @@
 // Differential property suite for fast mode: randomly generated guest
 // programs run once through the exec/ fast engine (rse_run --fast style:
 // relaxed session, transplant on bail) and once on the cycle-accurate OoO
-// core.  Architectural state must match at every syscall boundary — the
-// full register file and the post-syscall PC, snapshotted in both modes at
-// the exact point the OS handler observes — and at exit: output, exit code,
-// and the final arena memory (working-register dump included).  Programs
-// with self-modifying stores to the text segment are part of the suite.
+// core.  Both runs feed the core's commit observer, so the two commit
+// streams must be equal record for record: every commit's pc, fetched
+// word, effective address and memory value, in order.  Architectural state
+// must also match at every syscall boundary — the full register file and
+// the post-syscall PC, snapshotted in both modes at the exact point the OS
+// handler observes — and at exit: output, exit code, and the final arena
+// memory (working-register dump included).  Programs with self-modifying
+// stores to the text segment are part of the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -24,7 +28,14 @@ using testing::RandomProgramOptions;
 using testing::SimRunner;
 using testing::generate_random_program;
 
-constexpr u64 kRunLimit = 50'000'000;
+/// One committed instruction, as the core's commit observer reports it.
+struct Commit {
+  Addr pc = 0;
+  Word raw = 0;  // instr.raw, the word as fetched
+  Addr eff_addr = 0;
+  Word mem_value = 0;
+  bool operator==(const Commit&) const = default;
+};
 
 struct Snapshot {
   Addr pc = 0;  // post-syscall PC, as the OS handler sees it
@@ -38,6 +49,7 @@ struct RunTrace {
   bool finished = false;
   int exit_code = -1;
   std::string output;
+  std::vector<Commit> commits;       // the whole commit stream, in order
   std::vector<Snapshot> boundaries;  // one per executed syscall, in order
   std::vector<u8> arena;
 };
@@ -49,17 +61,27 @@ std::vector<u8> arena_bytes(SimRunner& runner) {
   return out;
 }
 
-/// Record a syscall-commit snapshot from the cycle-accurate core.  At syscall
-/// commit the RUU holds only the syscall (it dispatches serialized), so
-/// context() is exactly the state the handler is about to see.
-void attach_commit_probe(SimRunner& runner, std::vector<Snapshot>* out) {
+/// Record the commit stream from the core's commit observer, which both
+/// engines feed, and a snapshot at every syscall commit.  At a classic
+/// syscall commit the RUU holds only the syscall (it dispatches
+/// serialized), and a fast session writes the registers and post-syscall PC
+/// into the core before it reports a syscall, so in both modes context() is
+/// exactly the state the handler is about to see.
+void attach_commit_probe(SimRunner& runner, RunTrace* out) {
   cpu::Core& core = runner.machine().core();
-  runner.machine().core().set_commit_observer(
-      [&core, out](Cycle, const engine::CommitInfo& info) {
-        if (info.instr.op != isa::Op::kSyscall) return;
-        const cpu::ThreadContext ctx = core.context();
-        out->push_back(Snapshot{ctx.pc, ctx.regs});
-      });
+  core.set_commit_observer([&core, out](Cycle, const engine::CommitInfo& info) {
+    out->commits.push_back(Commit{info.pc, info.instr.raw, info.eff_addr, info.mem_value});
+    if (info.instr.op != isa::Op::kSyscall) return;
+    const cpu::ThreadContext ctx = core.context();
+    out->boundaries.push_back(Snapshot{ctx.pc, ctx.regs});
+  });
+}
+
+void finish_trace(SimRunner& runner, RunTrace* trace) {
+  trace->finished = runner.os().finished();
+  trace->exit_code = runner.os().exit_code();
+  trace->output = runner.os().output();
+  trace->arena = arena_bytes(runner);
 }
 
 RunTrace run_classic(const std::string& source, bool framework = false) {
@@ -68,44 +90,35 @@ RunTrace run_classic(const std::string& source, bool framework = false) {
   SimRunner runner(config);
   runner.load_source(source);
   RunTrace trace;
-  attach_commit_probe(runner, &trace.boundaries);
+  attach_commit_probe(runner, &trace);
   runner.run();
-  trace.finished = runner.os().finished();
-  trace.exit_code = runner.os().exit_code();
-  trace.output = runner.os().output();
-  trace.arena = arena_bytes(runner);
+  finish_trace(runner, &trace);
   return trace;
 }
 
-RunTrace run_fast(const std::string& source, bool framework = false, bool superblocks = true) {
+/// Run `source` through a fast session with `session_config`; syscalls the
+/// session cannot run execute on the core after the transplant, which
+/// continues the same commit stream.
+RunTrace run_fast(const std::string& source, const exec::FastSessionConfig& session_config,
+                  bool framework = false) {
   os::MachineConfig config;
   config.framework_present = framework;
   SimRunner runner(config);
   runner.load_source(source);
   RunTrace trace;
+  attach_commit_probe(runner, &trace);
+  exec::FastSession session(runner.os(), session_config);
+  session.seed_leaders(runner.program());
+  session.run_to_end();
+  finish_trace(runner, &trace);
+  return trace;
+}
 
+RunTrace run_fast(const std::string& source, bool framework = false, bool superblocks = true) {
   exec::FastSessionConfig session_config;
   session_config.relaxed = true;
   session_config.superblocks = superblocks;
-  exec::FastSession session(runner.os(), session_config);
-  session.seed_leaders(runner.program());
-  session.set_syscall_probe([&trace](Addr pc, const std::array<Word, isa::kNumRegs>& regs) {
-    trace.boundaries.push_back(Snapshot{pc, regs});
-  });
-  // Syscalls the session cannot delegate run on the core after the
-  // transplant; the commit probe keeps the boundary stream seamless.
-  attach_commit_probe(runner, &trace.boundaries);
-  const exec::FastSession::Status status = session.run_until(kRunLimit);
-  if (status == exec::FastSession::Status::kBail) {
-    session.transplant(session.virtual_now());
-    runner.run();
-  }
-
-  trace.finished = runner.os().finished();
-  trace.exit_code = runner.os().exit_code();
-  trace.output = runner.os().output();
-  trace.arena = arena_bytes(runner);
-  return trace;
+  return run_fast(source, session_config, framework);
 }
 
 void expect_traces_equal(const RunTrace& fast, const RunTrace& classic) {
@@ -114,6 +127,18 @@ void expect_traces_equal(const RunTrace& fast, const RunTrace& classic) {
   EXPECT_EQ(fast.exit_code, classic.exit_code);
   EXPECT_EQ(fast.output, classic.output);
   EXPECT_EQ(fast.arena, classic.arena);
+  EXPECT_EQ(fast.commits.size(), classic.commits.size());
+  const std::size_t common = std::min(fast.commits.size(), classic.commits.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    const Commit& f = fast.commits[i];
+    const Commit& c = classic.commits[i];
+    if (f == c) continue;
+    ADD_FAILURE() << "commit " << i << " differs: fast pc 0x" << std::hex << f.pc << " raw 0x"
+                  << f.raw << " ea 0x" << f.eff_addr << " value 0x" << f.mem_value
+                  << ", classic pc 0x" << c.pc << " raw 0x" << c.raw << " ea 0x" << c.eff_addr
+                  << " value 0x" << c.mem_value;
+    break;
+  }
   ASSERT_EQ(fast.boundaries.size(), classic.boundaries.size());
   for (std::size_t i = 0; i < classic.boundaries.size(); ++i) {
     EXPECT_EQ(fast.boundaries[i].pc, classic.boundaries[i].pc) << "boundary " << i;
@@ -204,30 +229,10 @@ TEST_P(FastDifferentialYielding, RelaxedResumeMatchesAtEveryBoundaryAndExit) {
   options.yield_points = true;
   options.print_progress = true;
   const std::string source = generate_random_program(GetParam(), options);
-
-  SimRunner runner;
-  runner.load_source(source);
-  RunTrace trace;
   exec::FastSessionConfig config;
   config.relaxed = true;
   config.resume = true;
-  exec::FastSession session(runner.os(), config);
-  session.seed_leaders(runner.program());
-  session.set_syscall_probe([&trace](Addr pc, const std::array<Word, isa::kNumRegs>& regs) {
-    trace.boundaries.push_back(Snapshot{pc, regs});
-  });
-  attach_commit_probe(runner, &trace.boundaries);
-  const exec::FastSession::Status status = session.run_until(kRunLimit);
-  if (status == exec::FastSession::Status::kBail) {
-    session.transplant(session.virtual_now());
-    runner.run();
-  }
-  trace.finished = runner.os().finished();
-  trace.exit_code = runner.os().exit_code();
-  trace.output = runner.os().output();
-  trace.arena = arena_bytes(runner);
-
-  expect_traces_equal(trace, run_classic(source));
+  expect_traces_equal(run_fast(source, config), run_classic(source));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastDifferentialYielding, ::testing::Range<u64>(5500, 5550));

@@ -38,7 +38,6 @@ struct IcmUnit : ::testing::Test {
     engine::DispatchInfo info;
     info.tag = {slot, seq};
     info.pc = pc;
-    info.raw = raw;
     info.instr = isa::decode(raw);
     return info;
   }

@@ -15,7 +15,10 @@
 //     --limit <cycles>      run limit (default 2e9)
 //     --requests <n> --io <cycles>   simulated network parameters
 //     --stats               print detailed machine statistics
-//     --trace <n>           print the first n committed instructions
+//     --trace <n>           print the first n committed instructions on
+//                           stderr: cycle, thread, pc and disassembly; with
+//                           --fast the cycle column is virtual time
+//                           (docs/execution.md)
 //     --lint                run the static analyzer first; refuse to run on
 //                           error-severity findings (rse_lint for details)
 //     --static-cfc          precompute the CFG-derived legal-successor table
@@ -282,13 +285,7 @@ int main(int argc, char** argv) {
     if (fast) {
       exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
       session.seed_leaders(program);
-      const exec::FastSession::Status status = session.run_until(os_config.run_limit);
-      if (status == exec::FastSession::Status::kBail) {
-        // Threads, network I/O, or an illegal word: hand the exact current
-        // state to the cycle-accurate core and keep going fully modeled.
-        session.transplant(session.virtual_now());
-        guest.run();
-      }
+      session.run_to_end();
       if (stats) {
         std::cout << "--- fast engine ---\n"
                   << "fast instructions:   " << session.executed() << "\n"
