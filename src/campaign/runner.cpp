@@ -76,11 +76,9 @@ WorkloadSetup CampaignRunner::setup_for(const CampaignSpec& spec) {
     setup.host_enables.push_back(isa::ModuleId::kDdt);
   }
   if (spec.dme) {
-    // Variant A *is* the campaign: layout randomization on, MLR seed pinned
-    // to dme_seed_a.  The golden run is keyed on the randomized layout.
-    setup.machine.framework_present = true;
-    setup.machine.mlr.seed = spec.dme_seed_a;
-    setup.os.randomize_layout = true;
+    // Variant A *is* the campaign.  The golden run is keyed on its
+    // randomized layout.
+    dme::make_variant(setup.machine, setup.os, spec.dme_seed_a);
   }
   return setup;
 }
@@ -413,26 +411,27 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   const Cycle budget = budget_for(*golden, spec.hang_factor);
 
   // DME reference: record variant B (same program, distinct MLR seed) once,
-  // then establish the fault-free baseline by recording variant A's trace
-  // and comparing.  The baseline lives on a local golden copy — the shared
-  // cache entry stays DME-agnostic.
+  // then establish the fault-free baseline by streaming variant A through
+  // the checker every faulty run uses.  Both boot like every run, with the
+  // golden run's analysis.  The baseline lives on a local golden copy — the
+  // shared cache entry stays DME-agnostic.
   dme::CanonicalTrace reference;
   GoldenRun golden_local;
   const GoldenRun* golden_ptr = golden.get();
   if (spec.dme) {
-    os::OsConfig ref_os = setup.os;
-    ref_os.run_limit = std::min<Cycle>(ref_os.run_limit, budget);
-    dme::VariantSpec variant_b{setup.machine, ref_os, setup.host_enables, spec.dme_seed_b};
-    dme::RecordedTrace recorded_b = dme::record_trace(variant_b, golden->program);
-    reference = std::move(recorded_b.trace);
-
-    dme::VariantSpec variant_a{setup.machine, ref_os, setup.host_enables, spec.dme_seed_a};
-    const dme::RecordedTrace recorded_a = dme::record_trace(variant_a, golden->program);
-    const dme::DmeResult baseline = dme::compare_traces(recorded_a, reference);
-
+    const Cycle limit = std::min<Cycle>(setup.os.run_limit, budget);
+    {
+      WorkloadSetup setup_b = setup;
+      dme::make_variant(setup_b.machine, setup_b.os, spec.dme_seed_b);
+      BootedGuest variant_b(setup_b, golden->program, limit, golden->analysis);
+      reference = dme::record_trace(variant_b.guest, golden->program);
+    }
+    BootedGuest variant_a(setup, golden->program, limit, golden->analysis);
+    const dme::TraceChecker baseline =
+        dme::check_trace(variant_a.guest, golden->program, reference);
     golden_local = *golden;
-    golden_local.dme_divergences = baseline.divergences;
-    golden_local.dme_first_divergence = baseline.first_divergence;
+    golden_local.dme_divergences = baseline.divergences();
+    golden_local.dme_first_divergence = baseline.first_divergence();
     golden_ptr = &golden_local;
   }
 

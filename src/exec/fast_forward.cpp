@@ -40,10 +40,7 @@ bool FastForwardController::fast_forward_to(os::GuestOs& guest, const isa::Progr
                                             const SyscallSchedule* schedule,
                                             FastSession::BailReason* bail) {
   FastSessionConfig config;  // strict syscall whitelist
-  if (schedule != nullptr) {
-    config.resume = true;
-    config.syscall_schedule = schedule;
-  }
+  config.syscall_schedule = schedule;
   FastSession session(guest, config);
   session.seed_leaders(program);
   FastSession::Status status;

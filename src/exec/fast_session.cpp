@@ -52,22 +52,15 @@ bool FastSession::syscall_allowed(u32 number) const {
 }
 
 bool FastSession::resume_eligible(u32 number) const {
-  if (!config_.resume) return false;
+  // An excursion must run at exactly the classic commit cycle, so it needs
+  // a schedule entry for this stream position.
+  const std::map<u64, Cycle>* schedule = config_.syscall_schedule;
+  if (schedule == nullptr || !schedule->contains(engine_.executed())) return false;
   // Crash recovery replays DDT SavePage history the fast prefix never
   // recorded, and re-randomization relocates segments under the block
   // cache's feet — both stay classic-only.
   if (static_cast<os::Sys>(number) == os::Sys::kCrash) return false;
-  if (guest_->config().rerandomize_interval > 0) return false;
-  // A strict excursion must run at exactly the classic commit cycle, so it
-  // needs a schedule entry for this stream position; relaxed excursions run
-  // at virtual time (the relaxed consumers accept timing divergence).
-  if (!config_.relaxed) {
-    if (config_.syscall_schedule == nullptr) return false;
-    if (config_.syscall_schedule->find(engine_.executed()) == config_.syscall_schedule->end()) {
-      return false;
-    }
-  }
-  return true;
+  return guest_->config().rerandomize_interval == 0;
 }
 
 void FastSession::commit(engine::CommitInfo info) { report(virtual_now(), info); }
@@ -120,20 +113,8 @@ FastSession::Status FastSession::execute_syscall() {
 
 FastSession::Status FastSession::execute_syscall_excursion(u64 target) {
   cpu::Core& core = machine_->core();
-  Cycle when = 0;
-  if (config_.syscall_schedule != nullptr) {
-    const auto it = config_.syscall_schedule->find(engine_.executed());
-    if (it == config_.syscall_schedule->end()) {
-      // resume_eligible() guarantees an entry in strict mode; a relaxed
-      // session may carry a schedule too and still fall through to virtual
-      // time when a position is missing.
-      when = std::max<Cycle>(virtual_now(), machine_->now() + 1);
-    } else {
-      when = it->second;
-    }
-  } else {
-    when = std::max<Cycle>(virtual_now(), machine_->now() + 1);
-  }
+  // resume_eligible() guarantees the entry.
+  const Cycle when = config_.syscall_schedule->at(engine_.executed());
   // The classic run committed this syscall at cycle `when`, and every
   // handler decision may depend on that time (clock values, IO wake-ups,
   // scheduler quanta).  Warp to `when - 1` so that, if the handler
@@ -158,7 +139,6 @@ FastSession::Status FastSession::execute_syscall_excursion(u64 target) {
       const cpu::ThreadContext ctx = core.context();
       engine_.set_regs(ctx.regs);
       engine_.set_pc(ctx.pc);
-      suspended_ = true;
       return Status::kBoundary;
     }
     return resume_from_suspension();
@@ -178,7 +158,6 @@ FastSession::Status FastSession::execute_syscall_excursion(u64 target) {
 
 FastSession::Status FastSession::resume_from_suspension() {
   cpu::Core& core = machine_->core();
-  suspended_ = false;
   // Replay the suspension on the real scheduler: IO wake-ups and thread
   // switches use absolute cycle arithmetic, so stepping from the commit
   // cycle reproduces the classic run's wake-up exactly.
@@ -205,12 +184,6 @@ FastSession::Status FastSession::resume_from_suspension() {
 
 FastSession::Status FastSession::run_until(u64 target_instructions) {
   bail_ = BailReason::kNone;
-  if (suspended_) {
-    // A previous run_until stopped mid-suspension and the caller continued
-    // fast instead of transplanting: finish the suspension first.
-    const Status status = resume_from_suspension();
-    if (status != Status::kBoundary) return status;
-  }
   // Report commits only when someone observes them.
   CommitSink* const sink = machine_->core().commit_observer() ? this : nullptr;
   while (engine_.executed() < target_instructions) {

@@ -24,12 +24,12 @@
 //    carries no reporting code, so an unobserved run costs what it did
 //    before the session reported anything.
 //
-// With `resume` enabled the session additionally survives non-whitelisted
-// syscalls: it runs the handler on the real guest OS as an *excursion* —
-// in strict mode at exactly the cycle the classic run committed the syscall
-// (per the recorded syscall schedule), replaying any suspension on the real
-// scheduler — then re-lifts the context and continues fast.  Threaded and
-// network prefixes become fast-forwardable this way.
+// Armed with a syscall schedule, the session additionally survives
+// non-whitelisted syscalls: it runs the handler on the real guest OS as an
+// *excursion* at exactly the cycle the classic run committed the syscall,
+// replaying any suspension on the real scheduler, then re-lifts the context
+// and continues fast.  Threaded and network prefixes become
+// fast-forwardable this way.
 //
 // FastForwardController is the campaign-facing piece: it maps injection
 // cycles to functional-stream positions with one instrumented golden replay
@@ -52,19 +52,16 @@ struct FastSessionConfig {
   /// syscalls whose behavior is independent of simulated time: print*, sbrk,
   /// rand.  Relaxed mode (rse_run --fast) additionally allows exit and
   /// clock — clock then reads *virtual* time (instructions + syscall costs),
-  /// a documented divergence from the cycle-accurate run.
+  /// a documented divergence from the cycle-accurate run.  Relaxed users arm
+  /// no syscall schedule, so a relaxed session never runs an excursion.
   bool relaxed = false;
-
-  /// Bail-and-resume: execute non-whitelisted syscalls on the cycle-accurate
-  /// machine (an excursion) and continue fast afterwards, instead of
-  /// abandoning fast mode at the first one.  Strict mode additionally
-  /// requires `syscall_schedule` so every excursion runs at exactly its
-  /// classic commit cycle; without a schedule entry the session still bails.
-  bool resume = false;
 
   /// Syscall stream position -> classic commit cycle, recorded by
   /// FastForwardController::map_boundaries during the instrumented replay.
-  /// Not owned; must outlive the session.
+  /// Non-null arms bail-and-resume: a non-whitelisted syscall with an entry
+  /// runs on the cycle-accurate machine (an excursion) at exactly that
+  /// cycle and the session continues fast afterwards; without an entry the
+  /// session still bails.  Not owned; must outlive the session.
   const std::map<u64, Cycle>* syscall_schedule = nullptr;
 
   /// Superblock chaining in the session's block cache (BlockCache::
@@ -99,7 +96,9 @@ class FastSession : private FastEngine::CommitSink {
   /// kSyscall/kIllegal bail the state rests ON the un-executed instruction;
   /// on a kSuspend bail the syscall has executed and the lifted context is
   /// the thread the scheduler left on the core — either way a transplant
-  /// hands the cycle-accurate core a consistent context.
+  /// hands the cycle-accurate core a consistent context.  A kBoundary that
+  /// lands inside an excursion's suspension leaves the core suspended: the
+  /// caller transplants there and steps the machine, which wakes it.
   Status run_until(u64 target_instructions);
 
   /// Run the guest to its end: fast until it exits or the guest's run limit
@@ -151,7 +150,6 @@ class FastSession : private FastEngine::CommitSink {
   Cycle start_now_ = 0;
   Cycle stall_accum_ = 0;
   Cycle floor_ = 0;  // machine clock after the last replayed suspension
-  bool suspended_ = false;
   BailReason bail_ = BailReason::kNone;
 };
 

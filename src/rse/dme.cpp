@@ -1,66 +1,58 @@
 #include "rse/dme.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "exec/fast_session.hpp"
 
 namespace rse::dme {
 
-RecordedTrace record_trace(const VariantSpec& spec, const isa::Program& program,
-                           u64 max_records, bool prefer_fast) {
-  os::MachineConfig machine_config = spec.machine;
-  machine_config.framework_present = true;  // MLR lives in the framework
-  machine_config.mlr.seed = spec.mlr_seed;
-  os::OsConfig os_config = spec.os;
-  os_config.randomize_layout = true;
+namespace {
 
-  os::Machine machine(machine_config);
-  os::GuestOs guest(machine, os_config);
-  guest.load(program);
-  for (isa::ModuleId id : spec.host_enables) guest.enable_module(id);
-
-  RecordedTrace result;
-  result.map = RegionMap::of(guest);
-  machine.core().set_commit_observer(
-      [map = result.map, out = &result.trace, max_records](Cycle, const engine::CommitInfo& info) {
-        if (out->records.size() >= max_records) {
-          out->truncated = true;
-          return;
-        }
-        out->records.push_back(make_record(map, info));
-      });
-
+/// Run `guest` to its end with `observer` on the core's commit observer,
+/// and remove the observer again on the way out, thrown or not.
+void run_observed(os::GuestOs& guest, const isa::Program& program, bool prefer_fast,
+                  cpu::Core::CommitObserver observer) {
+  cpu::Core& core = guest.machine().core();
+  core.set_commit_observer(std::move(observer));
+  struct Uninstall {
+    cpu::Core& core;
+    ~Uninstall() { core.set_commit_observer(nullptr); }
+  } uninstall{core};
   if (prefer_fast) {
     // Second consumer of the fast-path engine: the fault-free variant body
     // runs functionally, and any bail (non-whitelisted syscall, threads,
     // illegal word) transplants into the cycle-accurate core, which keeps
-    // feeding the same recorder.
+    // feeding the same observer.
     exec::FastSession session(guest, exec::FastSessionConfig{});
     session.seed_leaders(program);
-    result.fast = session.run_to_end() != exec::FastSession::Status::kBail;
+    session.run_to_end();
   } else {
     guest.run();
   }
-
-  result.finished = guest.finished();
-  result.exit_code = guest.exit_code();
-  result.output = guest.output();
-  return result;
 }
 
-DmeResult compare_traces(const RecordedTrace& run, const CanonicalTrace& reference) {
-  const auto& a = run.trace.records;
-  const auto& b = reference.records;
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!a[i].matches(b[i])) return DmeResult{1, i};
-  }
-  // Both traces complete (neither hit its record cap) but one ran longer:
-  // a layout-dependent difference in the executed instruction count.
-  if (a.size() != b.size() && !run.trace.truncated && !reference.truncated) {
-    return DmeResult{1, n};
-  }
-  return DmeResult{};
+}  // namespace
+
+CanonicalTrace record_trace(os::GuestOs& guest, const isa::Program& program) {
+  CanonicalTrace trace;
+  run_observed(guest, program, /*prefer_fast=*/true,
+               [map = RegionMap::of(guest), &trace](Cycle, const engine::CommitInfo& info) {
+                 if (trace.records.size() >= kMaxRecords) {
+                   trace.truncated = true;
+                   return;
+                 }
+                 trace.records.push_back(make_record(map, info));
+               });
+  return trace;
+}
+
+TraceChecker check_trace(os::GuestOs& guest, const isa::Program& program,
+                         const CanonicalTrace& reference, bool prefer_fast) {
+  TraceChecker checker(&reference, RegionMap::of(guest));
+  run_observed(guest, program, prefer_fast,
+               [&checker](Cycle, const engine::CommitInfo& info) { checker.push(info); });
+  checker.finish_clean();
+  return checker;
 }
 
 }  // namespace rse::dme

@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -99,9 +97,9 @@ struct CanonicalTrace {
   bool truncated = false;  // hit the record cap; comparison stops there
 };
 
-/// Default per-run record cap (~56 MB of records).  Campaign DME runs use
-/// short workloads; the cap keeps a runaway variant from exhausting memory.
-inline constexpr u64 kDefaultMaxRecords = 2'000'000;
+/// Per-run record cap (~56 MB of records).  Campaign DME runs use short
+/// workloads; the cap keeps a runaway variant from exhausting memory.
+inline constexpr u64 kMaxRecords = 2'000'000;
 
 /// The record of one committed instruction, as the core's commit observer
 /// delivers it (from either engine).
@@ -122,18 +120,20 @@ inline TraceRecord make_record(const RegionMap& map, const engine::CommitInfo& i
   return r;
 }
 
-/// Streaming comparator: feed variant-A records as they commit, against the
-/// reference variant's recorded trace.  The first mismatch is terminal —
-/// everything after a divergence point is noise, so `divergences()` is 0 or
-/// 1 and `first_divergence()` is the canonical-trace position where the
-/// traces split.
+/// The DME comparator: feed variant-A records as they commit, against the
+/// reference variant's recorded trace.  Every faulty run, the campaign's
+/// fault-free baseline and `rse_run --dme` are judged by it.  The first
+/// mismatch is terminal — everything after a divergence point is noise, so
+/// `divergences()` is 0 or 1 and `first_divergence()` is the canonical-trace
+/// position where the traces split.  The checker keeps a pointer to the
+/// reference, so it must not outlive it.
 class TraceChecker {
  public:
   TraceChecker(const CanonicalTrace* reference, RegionMap own)
       : ref_(reference), map_(own) {}
 
   void push(const engine::CommitInfo& info) {
-    if (diverged_ || pos_ >= max_records_) return;
+    if (diverged_ || pos_ >= kMaxRecords) return;
     if (pos_ >= ref_->records.size()) {
       // Ran past the reference.  A truncated reference proves nothing;
       // otherwise the run executed instructions the reference never did.
@@ -153,7 +153,7 @@ class TraceChecker {
   /// Crashed or hung runs skip this — their truncation is explained by the
   /// crash, and charging it to DME would misclassify every crash.
   void finish_clean() {
-    if (diverged_ || ref_->truncated || pos_ >= max_records_) return;
+    if (diverged_ || ref_->truncated || pos_ >= kMaxRecords) return;
     if (pos_ < ref_->records.size()) mark_divergence();
   }
 
@@ -175,46 +175,37 @@ class TraceChecker {
   const CanonicalTrace* ref_;
   RegionMap map_;
   u64 pos_ = 0;
-  u64 max_records_ = kDefaultMaxRecords;
   bool diverged_ = false;
   u64 first_divergence_ = ~u64{0};
 };
 
-/// One DME variant: the workload's machine/os configuration with layout
-/// randomization forced on under `mlr_seed`.
-struct VariantSpec {
-  os::MachineConfig machine;
-  os::OsConfig os;
-  std::vector<isa::ModuleId> host_enables;
-  u64 mlr_seed = 1;
-};
+/// Make a machine/os configuration a DME variant: layout randomization on
+/// under MLR seed `mlr_seed` (MLR lives in the framework).  The campaign's
+/// variant A is its setup under dme_seed_a, variant B the same setup under
+/// dme_seed_b.
+inline void make_variant(os::MachineConfig& machine_config, os::OsConfig& os_config,
+                         u64 mlr_seed) {
+  machine_config.framework_present = true;
+  machine_config.mlr.seed = mlr_seed;
+  os_config.randomize_layout = true;
+}
 
-struct RecordedTrace {
-  CanonicalTrace trace;
-  RegionMap map;
-  bool finished = false;
-  int exit_code = 0;
-  std::string output;
-  bool fast = false;  // recorded through the fast-path engine (no bail)
-};
+/// Run a booted, not yet started variant fault-free to its end and return
+/// its canonical trace, recorded on the core's commit observer.  The run
+/// always goes through the exec/ fast engine (FastSession::run_to_end),
+/// which reports to the same observer and bails into the cycle-accurate
+/// core when it must; the recorded stream is the committed-instruction
+/// stream either way, which the differential suite pins.  Returns with no
+/// commit observer installed on the core.
+CanonicalTrace record_trace(os::GuestOs& guest, const isa::Program& program);
 
-/// Run the variant fault-free and record its canonical trace through one
-/// recorder on the core's commit observer.  With `prefer_fast` the
-/// fault-free body executes on the exec/ fast engine (the engine's second
-/// consumer after campaign fast-forward), which reports to the same
-/// observer, and falls back to the cycle-accurate core mid-run on any bail —
-/// the recorded stream is the committed-instruction stream either way, which
-/// the differential suite pins.
-RecordedTrace record_trace(const VariantSpec& spec, const isa::Program& program,
-                           u64 max_records = kDefaultMaxRecords, bool prefer_fast = true);
-
-/// Divergence summary of one recorded trace against a reference (used for
-/// baselines: variant A fault-free vs. variant B fault-free).
-struct DmeResult {
-  u64 divergences = 0;
-  u64 first_divergence = ~u64{0};
-};
-
-DmeResult compare_traces(const RecordedTrace& run, const CanonicalTrace& reference);
+/// Run a booted, not yet started fault-free variant to its end — fast with
+/// a bail to the core as record_trace does, or with `prefer_fast` false on
+/// the cycle-accurate core alone — through a TraceChecker against
+/// `reference`, then finish_clean(): a fault-free variant's trace ends where
+/// its program ends.  The checker keeps a pointer to `reference`, so it must
+/// not outlive it.  Returns with no commit observer installed on the core.
+TraceChecker check_trace(os::GuestOs& guest, const isa::Program& program,
+                         const CanonicalTrace& reference, bool prefer_fast = true);
 
 }  // namespace rse::dme

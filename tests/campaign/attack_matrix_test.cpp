@@ -260,29 +260,35 @@ TEST(AttackMatrix, BenignChkTwinIsCleanEverywhere) {
 
 // ---- DME rows -------------------------------------------------------------
 
-dme::DmeResult dme_row(const char* workload, u64 seed_a, u64 seed_b) {
+/// Where fault-free variant A (seed_a) first diverges from variant B
+/// (seed_b) under the campaign's checker; kConvergent when it never does.
+constexpr u64 kConvergent = ~u64{0};
+
+u64 dme_row(const char* workload, u64 seed_a, u64 seed_b) {
   const WorkloadSetup setup = make_workload(workload);
   const isa::Program program = isa::assemble(setup.source);
-  const dme::VariantSpec variant_b{setup.machine, setup.os, setup.host_enables, seed_b};
-  const dme::RecordedTrace reference = dme::record_trace(variant_b, program);
-  const dme::VariantSpec variant_a{setup.machine, setup.os, setup.host_enables, seed_a};
-  const dme::RecordedTrace run = dme::record_trace(variant_a, program);
-  EXPECT_TRUE(run.finished) << workload;
-  EXPECT_TRUE(reference.finished) << workload;
-  return dme::compare_traces(run, reference.trace);
+  WorkloadSetup setup_b = setup;
+  dme::make_variant(setup_b.machine, setup_b.os, seed_b);
+  BootedGuest variant_b(setup_b, program, setup_b.os.run_limit);
+  const dme::CanonicalTrace reference = dme::record_trace(variant_b.guest, program);
+  WorkloadSetup setup_a = setup;
+  dme::make_variant(setup_a.machine, setup_a.os, seed_a);
+  BootedGuest variant_a(setup_a, program, setup_a.os.run_limit);
+  const dme::TraceChecker checker = dme::check_trace(variant_a.guest, program, reference);
+  EXPECT_TRUE(variant_a.guest.finished()) << workload;
+  EXPECT_TRUE(variant_b.guest.finished()) << workload;
+  return checker.first_divergence();
 }
 
 TEST(AttackMatrix, DmeAloneDetectsTheHeapSpray) {
   // The DME-alone cell: under the workload's entropy_pages = 4 the wild
   // store lands on a different arena word per seed, so the first divergent
   // canonical record is the checksum loop's load of the poisoned word.
-  const dme::DmeResult attack = dme_row("attack-heap", 1, 2);
-  EXPECT_EQ(attack.divergences, 1u)
+  EXPECT_NE(dme_row("attack-heap", 1, 2), kConvergent)
       << "attack-heap must diverge across MLR variants (the DME-alone detect)";
   // The twin's poison is arena-relative: identical canonical traces.
-  const dme::DmeResult benign = dme_row("benign-heap", 1, 2);
-  EXPECT_EQ(benign.divergences, 0u)
-      << "benign-heap falsely diverged at record " << benign.first_divergence;
+  const u64 benign = dme_row("benign-heap", 1, 2);
+  EXPECT_EQ(benign, kConvergent) << "benign-heap falsely diverged at record " << benign;
 }
 
 TEST(AttackMatrix, LayoutIndependentScenariosStayConvergent) {
@@ -290,9 +296,8 @@ TEST(AttackMatrix, LayoutIndependentScenariosStayConvergent) {
   // DME misses — pinned so a canonicalization regression (spurious
   // divergence on stack/heap traffic) is caught immediately.
   for (const char* workload : {"attack-stack", "benign-stack", "attack-chk", "benign-chk"}) {
-    const dme::DmeResult result = dme_row(workload, 1, 2);
-    EXPECT_EQ(result.divergences, 0u)
-        << workload << " falsely diverged at record " << result.first_divergence;
+    const u64 divergence = dme_row(workload, 1, 2);
+    EXPECT_EQ(divergence, kConvergent) << workload << " falsely diverged at record " << divergence;
   }
 }
 
@@ -300,8 +305,8 @@ TEST(AttackMatrix, GotScenariosConvergeUnderDme) {
   // Both variants randomize, so the wild store misses the table in both and
   // the dispatch runs the intact entry — same canonical behavior, DME miss
   // (MLR already foiled the attack preemptively).
-  EXPECT_EQ(dme_row("attack-got", 1, 2).divergences, 0u);
-  EXPECT_EQ(dme_row("benign-got", 1, 2).divergences, 0u);
+  EXPECT_EQ(dme_row("attack-got", 1, 2), kConvergent);
+  EXPECT_EQ(dme_row("benign-got", 1, 2), kConvergent);
 }
 
 // ---- campaign integration -------------------------------------------------

@@ -15,6 +15,7 @@
 #include "campaign/workload.hpp"
 #include "exec/block_cache.hpp"
 #include "exec/fast_engine.hpp"
+#include "exec/fast_forward.hpp"
 #include "exec/fast_session.hpp"
 #include "isa/assembler.hpp"
 #include "isa/interpreter.hpp"
@@ -24,6 +25,7 @@ namespace {
 
 using testing::RandomProgramOptions;
 using testing::SimRunner;
+using testing::classic_schedule;
 using testing::generate_random_program;
 
 void write_program(mem::MainMemory& memory, const isa::Program& program) {
@@ -540,25 +542,27 @@ main:
 }
 
 TEST(FastSession, ResumeRunsThroughYieldAndFinishesFast) {
-  // Bail-and-resume: a yield suspends the only thread; the session executes
-  // it as an excursion on the cycle-accurate machine, replays the
-  // suspension on the real scheduler, and continues fast to completion.
+  // Bail-and-resume: a yield suspends the only thread; the session, armed
+  // with the classic run's syscall schedule, executes it as an excursion on
+  // the cycle-accurate machine at its classic cycle, replays the suspension
+  // on the real scheduler, and continues fast to completion (the exit runs
+  // as an excursion too).
   const std::string source =
       ".text\nmain:\n"
       "  li v0, 8\n  syscall\n"  // sys_yield: suspends, scheduler resumes us
       "  li a0, 7\n  li v0, 2\n  syscall\n"  // print_int 7
       "  li a0, 0\n  li v0, 1\n  syscall\n";
+  const exec::FastForwardController::SyscallSchedule schedule = classic_schedule(source);
   SimRunner runner;
   runner.load_source(source);
   exec::FastSessionConfig config;
-  config.relaxed = true;  // relaxed excursions run at virtual time
-  config.resume = true;
+  config.syscall_schedule = &schedule;
   exec::FastSession session(runner.os(), config);
   session.seed_leaders(runner.program());
   EXPECT_EQ(session.run_until(1000), exec::FastSession::Status::kExited);
   EXPECT_TRUE(runner.os().finished());
   EXPECT_EQ(runner.os().output(), "7");
-  // Without resume, the same prefix bails with the PC still ON the yield.
+  // Without a schedule, the same prefix bails with the PC still ON the yield.
   SimRunner bail_runner;
   bail_runner.load_source(source);
   exec::FastSession no_resume(bail_runner.os());
@@ -579,11 +583,11 @@ TEST(FastSession, SecondLiveThreadBailsAsSuspendNotSyscall) {
       "  li a0, 0\n  li v0, 1\n  syscall\n"
       "worker:\n"
       "  li v0, 7\n  syscall\n";  // thread_exit
+  const exec::FastForwardController::SyscallSchedule schedule = classic_schedule(source);
   SimRunner runner;
   runner.load_source(source);
   exec::FastSessionConfig config;
-  config.relaxed = true;
-  config.resume = true;
+  config.syscall_schedule = &schedule;
   exec::FastSession session(runner.os(), config);
   session.seed_leaders(runner.program());
   const u64 before = session.executed();
@@ -599,17 +603,18 @@ TEST(FastSession, SecondLiveThreadBailsAsSuspendNotSyscall) {
 }
 
 TEST(FastSession, StrictResumeRequiresScheduleEntry) {
-  // A strict session with resume armed but no schedule entry for the
-  // syscall's stream position must bail kSyscall *before* executing it —
-  // excursions without a classic commit cycle would run at the wrong time.
+  // A session armed with a schedule that has no entry for the syscall's
+  // stream position must bail kSyscall *before* executing it — excursions
+  // without a classic commit cycle would run at the wrong time.
   const std::string source =
       ".text\nmain:\n"
       "  li v0, 8\n  syscall\n"  // yield — not whitelisted in strict mode
       "  li a0, 0\n  li v0, 1\n  syscall\n";
   SimRunner runner;
   runner.load_source(source);
+  const exec::FastForwardController::SyscallSchedule empty;
   exec::FastSessionConfig config;
-  config.resume = true;  // strict: needs syscall_schedule, which is null
+  config.syscall_schedule = &empty;
   exec::FastSession session(runner.os(), config);
   session.seed_leaders(runner.program());
   EXPECT_EQ(session.run_until(1000), exec::FastSession::Status::kBail);

@@ -50,8 +50,9 @@ struct RandomProgramOptions {
   bool print_progress = false;
   /// Emit sys_yield at random block boundaries.  Yield is outside every
   /// fast-mode whitelist and suspends the calling thread, so these programs
-  /// exercise bail-and-resume: a resumable session must execute the yield as
-  /// a cycle-accurate excursion and continue fast afterwards.
+  /// exercise bail-and-resume: a session armed with the classic run's
+  /// syscall schedule must execute the yield as a cycle-accurate excursion
+  /// and continue fast afterwards.
   bool yield_points = false;
   /// Attack-shaped traffic for the security suites (docs/security.md):
   /// framed helpers that store far past their own $sp envelope (deep

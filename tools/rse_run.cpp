@@ -34,10 +34,13 @@
 //                           at load and hand it to the CFC (implies --cfc)
 //     --dme                 divergent multi-version execution: run the program
 //                           twice under distinct MLR layout-randomization
-//                           seeds, canonicalize both committed-instruction
-//                           traces (rse/dme.hpp), and report whether they
-//                           converge; prints variant A's output followed by a
-//                           `dme:` summary line (docs/security.md)
+//                           seeds, each booted like any other run (network
+//                           flags and the lint verdict included): record
+//                           variant B's canonical committed-instruction trace
+//                           and stream variant A through the campaign's
+//                           TraceChecker (rse/dme.hpp); prints variant A's
+//                           output followed by a `dme:` summary line with
+//                           the checker's record count (docs/security.md)
 //     --dme-seeds A:B       the two MLR seeds (default 1:2; implies --dme)
 #include <fstream>
 #include <iomanip>
@@ -45,9 +48,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "args.hpp"
+#include "campaign/workload.hpp"
 #include "common/error.hpp"
 #include "exec/fast_session.hpp"
 #include "isa/assembler.hpp"
@@ -228,47 +233,54 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    // Every run boots through the campaign's boot sequence: load (with the
+    // lint verdict), the flags' modules, then the simulated network.
+    std::vector<isa::ModuleId> enables;
+    if (enable_icm) enables.push_back(isa::ModuleId::kIcm);
+    if (enable_mlr) enables.push_back(isa::ModuleId::kMlr);
+    if (enable_ddt) enables.push_back(isa::ModuleId::kDdt);
+    if (enable_ahbm) enables.push_back(isa::ModuleId::kAhbm);
+    if (enable_cfc) enables.push_back(isa::ModuleId::kCfc);
+    const campaign::WorkloadSetup setup{path, source, machine_config, os_config, enables};
+    const auto boot = [&](const campaign::WorkloadSetup& s) {
+      auto booted = std::make_unique<campaign::BootedGuest>(s, program, s.os.run_limit, verdict);
+      if (requests > 0 || io_latency > 0) {
+        os::NetworkConfig net;
+        if (requests > 0) net.total_requests = requests;
+        if (io_latency > 0) net.io_latency_mean = io_latency;
+        booted->guest.network().configure(net);
+      }
+      return booted;
+    };
+
     if (dme) {
-      // Record both variants fault-free under distinct MLR seeds and diff
-      // the canonical traces.  Variant B goes through the fast-path engine,
-      // variant A through the cycle-accurate core, so convergence here also
+      // Record variant B through the fast-path engine, then stream variant A
+      // through the cycle-accurate core against it, so convergence here also
       // exercises trace parity across both execution engines.
-      machine_config.framework_present = true;
-      std::vector<isa::ModuleId> enables;
-      if (enable_icm) enables.push_back(isa::ModuleId::kIcm);
-      if (enable_mlr) enables.push_back(isa::ModuleId::kMlr);
-      if (enable_ddt) enables.push_back(isa::ModuleId::kDdt);
-      if (enable_ahbm) enables.push_back(isa::ModuleId::kAhbm);
-      if (enable_cfc) enables.push_back(isa::ModuleId::kCfc);
-      dme::VariantSpec variant_b{machine_config, os_config, enables, dme_seed_b};
-      const dme::RecordedTrace ref = dme::record_trace(variant_b, program);
-      dme::VariantSpec variant_a{machine_config, os_config, enables, dme_seed_a};
-      const dme::RecordedTrace run = dme::record_trace(variant_a, program,
-                                                       dme::kDefaultMaxRecords,
-                                                       /*prefer_fast=*/false);
-      const dme::DmeResult verdict = dme::compare_traces(run, ref.trace);
-      std::cout << run.output;
-      if (verdict.divergences == 0) {
-        std::cout << "dme: convergent (" << run.trace.records.size() << " canonical records, "
+      campaign::WorkloadSetup setup_b = setup;
+      dme::make_variant(setup_b.machine, setup_b.os, dme_seed_b);
+      const dme::CanonicalTrace reference = dme::record_trace(boot(setup_b)->guest, program);
+      campaign::WorkloadSetup setup_a = setup;
+      dme::make_variant(setup_a.machine, setup_a.os, dme_seed_a);
+      const auto variant_a = boot(setup_a);
+      const dme::TraceChecker checker =
+          dme::check_trace(variant_a->guest, program, reference, /*prefer_fast=*/false);
+      std::cout << variant_a->guest.output();
+      if (checker.divergences() == 0) {
+        std::cout << "dme: convergent (" << checker.position() << " canonical records, "
                   << "seeds " << dme_seed_a << ":" << dme_seed_b << ")\n";
       } else {
-        std::cout << "dme: DIVERGENCE at record " << verdict.first_divergence << " (seeds "
+        std::cout << "dme: DIVERGENCE at record " << checker.first_divergence() << " (seeds "
                   << dme_seed_a << ":" << dme_seed_b << ")\n";
       }
-      if (!run.finished) {
+      if (!variant_a->guest.finished()) {
         std::cerr << "rse_run: run limit reached before the program finished\n";
       }
-      return run.exit_code;
+      return variant_a->guest.exit_code();
     }
-    os::Machine machine(machine_config);
-    os::GuestOs guest(machine, os_config);
-    if (requests > 0 || io_latency > 0) {
-      os::NetworkConfig net;
-      if (requests > 0) net.total_requests = requests;
-      if (io_latency > 0) net.io_latency_mean = io_latency;
-      guest.network().configure(net);
-    }
-    guest.load(program, verdict);
+    const auto booted = boot(setup);
+    os::Machine& machine = booted->machine;
+    os::GuestOs& guest = booted->guest;
     if (trace > 0) {
       machine.core().set_commit_observer([&trace](Cycle now, const engine::CommitInfo& info) {
         if (trace == 0) return;
@@ -277,11 +289,6 @@ int main(int argc, char** argv) {
                   << info.pc << std::dec << "  " << isa::disassemble(info.instr) << "\n";
       });
     }
-    if (enable_icm) guest.enable_module(isa::ModuleId::kIcm);
-    if (enable_mlr) guest.enable_module(isa::ModuleId::kMlr);
-    if (enable_ddt) guest.enable_module(isa::ModuleId::kDdt);
-    if (enable_ahbm) guest.enable_module(isa::ModuleId::kAhbm);
-    if (enable_cfc) guest.enable_module(isa::ModuleId::kCfc);
     if (fast) {
       exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
       session.seed_leaders(program);
