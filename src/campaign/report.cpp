@@ -207,6 +207,7 @@ std::string to_json(const CampaignReport& report) {
   os << "  \"runs\": " << report.results.size() << ",\n";
   os << "  \"seed\": " << report.spec.seed << ",\n";
   os << "  \"jobs\": " << report.spec.jobs << ",\n";
+  os << "  \"hang_factor\": " << fmt_fraction(report.spec.hang_factor) << ",\n";
   os << "  \"static_cfc\": " << (report.spec.static_cfc ? "true" : "false") << ",\n";
   os << "  \"static_ddt\": " << (report.spec.static_ddt ? "true" : "false") << ",\n";
   os << "  \"footprint_summaries\": " << (report.spec.footprint_summaries ? "true" : "false")
@@ -222,8 +223,15 @@ std::string to_json(const CampaignReport& report) {
   os << "  \"shard_index\": " << report.spec.shard_index << ",\n";
   os << "  \"shard_count\": " << report.spec.shard_count << ",\n";
   os << "  \"ci_threshold\": " << fmt_fraction(report.spec.ci_threshold) << ",\n";
+  os << "  \"ci_batch\": " << report.spec.ci_batch << ",\n";
+  os << "  \"ci_max_runs\": " << report.spec.ci_max_runs << ",\n";
   os << "  \"window_lo\": " << fmt_fraction(report.spec.window_lo) << ",\n";
   os << "  \"window_hi\": " << fmt_fraction(report.spec.window_hi) << ",\n";
+  os << "  \"targets\": [";
+  for (std::size_t t = 0; t < report.spec.targets.size(); ++t) {
+    os << (t ? ", " : "") << '"' << to_string(report.spec.targets[t]) << '"';
+  }
+  os << "],\n";
   os << "  \"golden_cycles\": " << report.golden_cycles << ",\n";
   os << "  \"golden_instructions\": " << report.golden_instructions << ",\n";
   os << "  \"faults_applied\": " << report.faults_applied << ",\n";

@@ -25,6 +25,11 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
+/// The largest snapshot chain a campaign may ask for.  The chain pass can
+/// capture one snapshot per quiescent golden cycle, and a server snapshot is
+/// about 443 KB, so the bound keeps a chain's memory in the 100 MB range.
+inline constexpr u32 kMaxSnapshotBuckets = 256;
+
 struct CampaignSpec {
   std::string workload = "kmeans";
   u32 runs = 256;
@@ -71,15 +76,13 @@ struct CampaignSpec {
   /// flag enters the digest or the golden-cache key.  Takes precedence over
   /// fast_forward: with both set, every run forks.
   bool snapshot_fork = false;
-  u32 snapshot_buckets = 8;
+  u32 snapshot_buckets = 8;  // in [1, kMaxSnapshotBuckets]
   /// Divergent multi-version execution (rse/dme.hpp): the campaign variant
   /// runs with layout randomization under mlr seed `dme_seed_a`, and every
   /// run's canonical committed-instruction trace is diffed against a
   /// fault-free reference variant recorded once under `dme_seed_b`.  Adds
   /// the detected_dme outcome; enters the digest and (via the mutated
-  /// setup) the golden-cache key.  Incompatible with snapshot_fork — the
-  /// trace checker is a per-run streaming hook that cannot start mid-trace
-  /// from a forked snapshot.
+  /// setup) the golden-cache key.
   bool dme = false;
   u64 dme_seed_a = 1;
   u64 dme_seed_b = 2;

@@ -53,6 +53,12 @@ void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run)
   }
 }
 
+u32 max_runs(const CampaignSpec& spec) {
+  if (spec.ci_threshold <= 0.0) return spec.runs;
+  const u64 cap = spec.ci_max_runs != 0 ? spec.ci_max_runs : u64{4} * spec.runs;
+  return static_cast<u32>(std::clamp<u64>(cap, spec.runs, UINT32_MAX));
+}
+
 CampaignRunner::CampaignRunner(GoldenCache* cache)
     : cache_(cache != nullptr ? cache : &own_cache_) {}
 
@@ -196,6 +202,13 @@ void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golde
 
 }  // namespace
 
+u64 commit_records(os::Machine& machine, const os::GuestOs& guest) {
+  // Each core commit is an instruction, a CHK or an invalid word, which
+  // the OS takes as an illegal trap.
+  const cpu::CoreStats& stats = machine.core().stats();
+  return stats.instructions + stats.chk_committed + guest.stats().illegal_traps;
+}
+
 /// What a run's prefix may start from.  Neither source: every run starts
 /// from reset.  A chain: the latest snapshot at or before the injection
 /// cycle (checkpoint-fork).  A boundary map: a fast-engine prefix up to the
@@ -203,7 +216,6 @@ void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golde
 struct CampaignRunner::Prefixes {
   const SnapshotChain* chain = nullptr;
   const exec::FastForwardController::BoundaryMap* boundaries = nullptr;
-  const exec::FastForwardController::SyscallSchedule* schedule = nullptr;
 };
 
 /// The prefix one run starts from: a snapshot, a fast-forward boundary, or
@@ -286,13 +298,11 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
     exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
     if (!exec::FastForwardController::fast_forward_to(boot->guest, golden.program,
                                                       route.boundary->position,
-                                                      record.inject_cycle, prefixes.schedule,
-                                                      &bail)) {
-      // Fast mode bailed (non-resumable syscall, early exit, illegal word)
-      // and left the guest unusable: start again from reset.
+                                                      record.inject_cycle, nullptr, &bail)) {
+      // Fast mode bailed (a syscall outside the whitelist, early exit, an
+      // illegal word) and left the guest unusable: start again from reset.
       switch (bail) {
         case exec::FastSession::BailReason::kSyscall: route = Route{.fallback = kSyscall}; break;
-        case exec::FastSession::BailReason::kSuspend: route = Route{.fallback = kSuspend}; break;
         case exec::FastSession::BailReason::kIllegal: route = Route{.fallback = kIllegal}; break;
         case exec::FastSession::BailReason::kNone: route = Route{.fallback = kOther}; break;
       }
@@ -306,14 +316,16 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
   os::GuestOs& guest = boot->guest;
 
   // The trace checker streams every commit after the prefix.  A fast-forward
-  // prefix committed `position` instructions that it never saw; start it at
-  // the boundary so the suffix compares against the right reference records.
-  // Valid because the campaign's DME gate requires a divergence-free
-  // fault-free baseline (the skipped prefix matches).
+  // prefix committed `position` instructions that it never saw, and a
+  // restored snapshot the records before its cycle; start the checker past
+  // them so the suffix compares against the right reference records.  Valid
+  // because the campaign offers DME runs a prefix only when the fault-free
+  // baseline does not diverge (the skipped prefix matches).
   std::optional<dme::TraceChecker> checker;
   if (dme_reference != nullptr) {
     checker.emplace(dme_reference, dme::RegionMap::of(guest));
     if (route.boundary != nullptr) checker->set_position(route.boundary->position);
+    if (route.snapshot != nullptr) checker->set_position(commit_records(machine, guest));
     machine.core().set_commit_observer(
         [&checker](Cycle, const engine::CommitInfo& info) { checker->push(info); });
   }
@@ -347,9 +359,9 @@ RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
 RunResult CampaignRunner::run_one_fast_forward(
     const WorkloadSetup& setup, const GoldenRun& golden, const InjectionRecord& record,
     Cycle budget, const exec::FastForwardController::BoundaryMap& boundaries,
-    const exec::FastForwardController::SyscallSchedule* schedule,
+    const exec::FastForwardController::SyscallSchedule* /*schedule*/,
     const dme::CanonicalTrace* dme_reference) const {
-  return run_pipeline(setup, golden, record, budget, Prefixes{nullptr, &boundaries, schedule},
+  return run_pipeline(setup, golden, record, budget, Prefixes{nullptr, &boundaries},
                       dme_reference);
 }
 
@@ -363,7 +375,7 @@ FastForwardStats CampaignRunner::fast_forward_stats() const {
   const auto count = [this](Fallback f) { return ff_counts_[f].load(std::memory_order_relaxed); };
   return FastForwardStats{count(kNoFallback), count(kTarget),  count(kUnmapped),
                           count(kConflict),   count(kChecked), count(kSyscall),
-                          count(kSuspend),    count(kIllegal), count(kOther)};
+                          0,                  count(kIllegal), count(kOther)};
 }
 
 SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
@@ -400,10 +412,9 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
     throw ConfigError("CI refinement is incompatible with sharding: the refined "
                       "run set depends on global outcome counts no shard has");
   }
-  if (spec.dme && spec.snapshot_fork) {
-    throw ConfigError("DME is incompatible with checkpoint forking: the trace "
-                      "checker streams from commit zero and cannot start "
-                      "mid-trace from a restored snapshot");
+  if (spec.snapshot_buckets < 1 || spec.snapshot_buckets > kMaxSnapshotBuckets) {
+    throw ConfigError("campaign snapshot buckets must lie in [1, " +
+                      std::to_string(kMaxSnapshotBuckets) + "]");
   }
   const WorkloadSetup setup = setup_for(spec);
   const std::shared_ptr<const GoldenRun> golden = cache_->get(setup);
@@ -453,7 +464,6 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   for (std::atomic<u64>& count : ff_counts_) count.store(0, std::memory_order_relaxed);
   Prefixes prefixes;
   exec::FastForwardController::BoundaryMap boundaries;
-  exec::FastForwardController::SyscallSchedule schedule;
   const bool golden_baseline_clean =
       golden->icm_mismatches == 0 && golden->cfc_violations == 0 &&
       golden->selfcheck_trips == 0 && golden->os_recoveries == 0 &&
@@ -471,12 +481,9 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
     }
     if (!cycles.empty()) {
       BootedGuest boot(setup, golden->program, budget, golden->analysis);
-      // The same replay that samples boundary positions and in-flight
-      // ranges also records the syscall schedule that arms bail-and-resume.
-      boundaries = exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles),
-                                                               &schedule);
+      boundaries = exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles));
     }
-    prefixes = Prefixes{nullptr, &boundaries, &schedule};
+    prefixes = Prefixes{nullptr, &boundaries};
   }
 
   u32 jobs = spec.jobs != 0 ? spec.jobs : std::max(1u, std::thread::hardware_concurrency());
@@ -485,9 +492,10 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
 
   // The snapshot chain counts toward wall time — it is the checkpoint-fork
-  // mode's setup cost, amortized across every run that forks from it.
+  // mode's setup cost, amortized across every run that forks from it.  DME
+  // runs fork under the same baseline gate as fast-forward.
   SnapshotChain chain;
-  if (spec.snapshot_fork) {
+  if (spec.snapshot_fork && (!spec.dme || golden_ptr->dme_divergences == 0)) {
     chain = build_snapshot_chain(setup, *golden, spec, budget, /*use_fast_forward=*/false);
     prefixes = Prefixes{&chain};
   }
@@ -513,10 +521,9 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   // pure function of (spec, classified outcomes), independent of --jobs.
   if (spec.ci_threshold > 0.0) {
     const u32 batch = spec.ci_batch != 0 ? spec.ci_batch : std::max(16u, spec.runs / 2);
-    const u32 max_runs = std::max(spec.ci_max_runs != 0 ? spec.ci_max_runs : 4 * spec.runs,
-                                  spec.runs);
+    const u32 cap = max_runs(spec);
     u32 total = spec.runs;
-    while (total < max_runs) {
+    while (total < cap) {
       std::array<u32, kNumOutcomes> by_outcome{};
       for (const RunResult& result : results) {
         by_outcome[static_cast<size_t>(result.outcome)]++;
@@ -526,7 +533,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
               .empty()) {
         break;
       }
-      const u32 step = std::min(batch, max_runs - total);
+      const u32 step = std::min(batch, cap - total);
       execute(total, total + step);
       total += step;
     }

@@ -47,14 +47,14 @@ struct FastForwardStats {
                               // CI-refinement index past the mapped plan
   u64 fallback_conflict = 0;  // memory-word fault overlapped in-flight state
   u64 fallback_checked = 0;   // instr-word fault on an ICM-checked instruction
-  u64 fallback_syscall = 0;   // un-executed, non-resumable syscall in prefix
-  u64 fallback_suspend = 0;   // post-syscall suspend fast mode couldn't resume
+  u64 fallback_syscall = 0;   // syscall outside the strict whitelist in prefix
+  u64 fallback_suspend = 0;   // unused, always 0; stays because perfbench/ reads it
   u64 fallback_illegal = 0;   // illegal word or host trap in the prefix
   u64 fallback_other = 0;     // early exit / boundary position mismatch
 
   u64 fallbacks() const {
     return fallback_target + fallback_unmapped + fallback_conflict + fallback_checked +
-           fallback_syscall + fallback_suspend + fallback_illegal + fallback_other;
+           fallback_syscall + fallback_illegal + fallback_other;
   }
 };
 
@@ -64,6 +64,16 @@ struct FastForwardStats {
 /// workers join, the exception of the lowest index that threw is rethrown as
 /// SimError("run <index>: <what>"), the same error for any `jobs`.
 void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run);
+
+/// The number of records the core has delivered to its commit observer
+/// since reset.  Every counter it reads is in a snapshot, so on a restored
+/// machine it is what a from-reset run delivers before the snapshot's
+/// cycle: where a forked DME run's trace checker starts.
+u64 commit_records(os::Machine& machine, const os::GuestOs& guest);
+
+/// How many plan indices a campaign of `spec` may execute: spec.runs, or
+/// under CI refinement its cap (ci_max_runs; by default 4 x runs).
+u32 max_runs(const CampaignSpec& spec);
 
 class CampaignRunner {
  public:
@@ -97,11 +107,11 @@ class CampaignRunner {
   /// Fast-forward: the fault-free prefix runs through the exec/ fast engine
   /// and is transplanted into the cycle-accurate core at the injection
   /// cycle.  Register-bit records and instruction-/data-word records whose
-  /// boundary reports no in-flight overlap take the fast prefix; a non-null
-  /// `schedule` additionally lets it bail-and-resume through
-  /// non-whitelisted syscalls.  Everything else (config faults, cycles the
-  /// fault-free run never reaches or the hang budget cuts off, in-flight
-  /// conflicts, fast-mode bails) starts from reset.
+  /// boundary reports no in-flight overlap take the fast prefix.
+  /// Everything else (config faults, cycles the fault-free run never
+  /// reaches or the hang budget cuts off, in-flight conflicts, fast-mode
+  /// bails) starts from reset.  The `schedule` parameter is unused; it
+  /// stays only because perfbench/ passes it.
   RunResult run_one_fast_forward(const WorkloadSetup& setup, const GoldenRun& golden,
                                  const InjectionRecord& record, Cycle budget,
                                  const exec::FastForwardController::BoundaryMap& boundaries,
@@ -147,7 +157,7 @@ class CampaignRunner {
 
   /// Why a run starts from reset rather than the prefix it was offered;
   /// kNoFallback when it took that prefix.  Indexes ff_counts_, in
-  /// FastForwardStats order.
+  /// FastForwardStats order (which keeps an always-zero suspend count).
   enum Fallback : u8 {
     kNoFallback,
     kTarget,
@@ -155,7 +165,6 @@ class CampaignRunner {
     kConflict,
     kChecked,
     kSyscall,
-    kSuspend,
     kIllegal,
     kOther,
     kNumFallbacks

@@ -99,6 +99,14 @@ class Reader {
 
 namespace detail {
 
+/// A type whose bytes are a pure function of its value: the raw branches
+/// below copy it as memory, so padding would leak indeterminate bytes into
+/// the archive.  Floating-point values are raw-copied too (their object
+/// representation is their value for everything the snapshot holds).
+template <typename T>
+inline constexpr bool kRawCopyable =
+    std::has_unique_object_representations_v<T> || std::is_floating_point_v<T>;
+
 template <class Ar, typename T>
 concept HasSerializeState = requires(Ar& ar, T& v) { v.serialize_state(ar); };
 
@@ -178,7 +186,10 @@ void serialize_value(Ar& ar, T& value) {
   } else if constexpr (detail::IsStdContainer<T>::value) {
     using Element = typename T::value_type;
     if constexpr (std::is_trivially_copyable_v<Element> &&
+                  !detail::HasSerializeState<Ar, Element> &&
                   std::is_same_v<T, std::vector<Element>>) {
+      static_assert(detail::kRawCopyable<Element>,
+                    "raw-copied element has padding: serialize it field by field");
       u64 count = value.size();
       ar.raw(&count, sizeof count);
       if constexpr (!Ar::kIsWriter) value.resize(static_cast<std::size_t>(count));
@@ -187,6 +198,8 @@ void serialize_value(Ar& ar, T& value) {
       serialize_sequence(ar, value);
     }
   } else if constexpr (std::is_trivially_copyable_v<T>) {
+    static_assert(detail::kRawCopyable<T>,
+                  "raw-copied type has padding: serialize it field by field");
     ar.raw(&value, sizeof value);
   } else {
     static_assert(detail::HasSerializeState<Ar, T>,

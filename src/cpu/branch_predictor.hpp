@@ -97,6 +97,14 @@ class BranchPredictor {
     bool valid = false;
     Addr pc = 0;
     Addr target = 0;
+
+    /// Snapshot hook, field by field: the struct has padding.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(valid);
+      ar.field(pc);
+      ar.field(target);
+    }
   };
 
   static u32 index(Addr pc, u32 entries) { return (pc >> 2) & (entries - 1); }

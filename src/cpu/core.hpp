@@ -105,10 +105,6 @@ class Core {
   ThreadId thread() const { return thread_; }
 
   void resume() { running_ = true; }
-  /// Stop executing without discarding in-flight state — the bare
-  /// `running_ = false` of a post-syscall suspend.  Unlike halt(), nothing
-  /// is flushed, so a later resume() continues exactly where commit stopped.
-  void suspend() { running_ = false; }
   /// Stop fetching; once the pipeline drains the core suspends itself.
   void request_drain() { draining_ = true; }
   /// Immediately stop and discard all in-flight state (used when the OS
@@ -156,9 +152,8 @@ class Core {
   /// here too, and after a bail the core continues the same stream (the
   /// session's contract is in exec/fast_session.hpp; its `now` is virtual
   /// time).  Its users: rse_run --trace (classic and --fast), DME trace
-  /// recording (both engines) and checking, the fast-forward syscall
-  /// schedule, and tests.  Like every hook, it is excluded from
-  /// serialize_state (snapshots never capture callbacks).
+  /// recording (both engines) and checking, and tests.  Like every hook, it
+  /// is excluded from serialize_state (snapshots never capture callbacks).
   using CommitObserver = std::function<void(Cycle now, const engine::CommitInfo& info)>;
   void set_commit_observer(CommitObserver observer) { commit_observer_ = std::move(observer); }
   const CommitObserver& commit_observer() const { return commit_observer_; }
@@ -226,6 +221,8 @@ class Core {
   }
 
  private:
+  // FetchedInstr and RuuEntry have padding, so their snapshot hooks write
+  // them field by field.
   struct FetchedInstr {
     Addr pc = 0;
     isa::Instr instr;  // instr.raw is the word as fetched
@@ -233,6 +230,16 @@ class Core {
     Addr predicted_next = 0;
     bool wrong_path = false;
     Cycle ready_at = 0;  // icache fill time
+
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(pc);
+      ar.field(instr);
+      ar.field(predicted_taken);
+      ar.field(predicted_next);
+      ar.field(wrong_path);
+      ar.field(ready_at);
+    }
   };
 
   struct RuuEntry {
@@ -266,6 +273,33 @@ class Core {
 
     bool is_mem = false;
     bool is_store = false;
+
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(valid);
+      ar.field(seq);
+      ar.field(pc);
+      ar.field(instr);
+      ar.field(wrong_path);
+      ar.field(result);
+      ar.field(eff_addr);
+      ar.field(mem_value);
+      ar.field(mem_size);
+      ar.field(taken);
+      ar.field(mispredicted);
+      ar.field(recover_pc);
+      ar.field(has_dest);
+      ar.field(dest_reg);
+      ar.field(old_dest_value);
+      ar.field(issued);
+      ar.field(completed);
+      ar.field(complete_at);
+      ar.field(producer_slot);
+      ar.field(producer_seq);
+      ar.field(producer_count);
+      ar.field(is_mem);
+      ar.field(is_store);
+    }
   };
 
   // pipeline stages (called youngest-stage-last each cycle)

@@ -7,20 +7,11 @@
 namespace rse::exec {
 
 FastForwardController::BoundaryMap FastForwardController::map_boundaries(
-    os::GuestOs& guest, std::vector<Cycle> cycles, SyscallSchedule* schedule) {
+    os::GuestOs& guest, std::vector<Cycle> cycles, SyscallSchedule* /*schedule*/) {
   std::sort(cycles.begin(), cycles.end());
   cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
 
-  cpu::Core& core = guest.machine().core();
-  if (schedule != nullptr) {
-    // The hook fires before commit advances functional_pos() past the
-    // syscall, so the key equals FastEngine::executed() at the moment a
-    // fast prefix stops ON the same syscall.
-    core.set_commit_observer([&core, schedule](Cycle now, const engine::CommitInfo& info) {
-      if (info.instr.op == isa::Op::kSyscall) (*schedule)[core.functional_pos()] = now;
-    });
-  }
-
+  const cpu::Core& core = guest.machine().core();
   BoundaryMap map;
   for (const Cycle cycle : cycles) {
     // A guest that finished or reached its run limit never applies a fault
@@ -31,17 +22,14 @@ FastForwardController::BoundaryMap FastForwardController::map_boundaries(
     boundary.inflight = core.inflight_ranges();
     map.emplace(cycle, std::move(boundary));
   }
-  if (schedule != nullptr) core.set_commit_observer(nullptr);
   return map;
 }
 
 bool FastForwardController::fast_forward_to(os::GuestOs& guest, const isa::Program& program,
                                             u64 position, Cycle inject_cycle,
-                                            const SyscallSchedule* schedule,
+                                            const SyscallSchedule* /*schedule*/,
                                             FastSession::BailReason* bail) {
-  FastSessionConfig config;  // strict syscall whitelist
-  config.syscall_schedule = schedule;
-  FastSession session(guest, config);
+  FastSession session(guest);  // strict syscall whitelist
   session.seed_leaders(program);
   FastSession::Status status;
   try {

@@ -4,14 +4,13 @@
 // A fault-injection campaign addresses injection points in *cycles*, but the
 // fast engine advances in *instructions*.  The controller bridges the two
 // with one instrumented cycle-accurate replay of the fault-free run: it
-// samples cpu::Core::functional_pos() at every requested cycle — plus the
+// samples cpu::Core::functional_pos() at every requested cycle, plus the
 // pipeline's in-flight address ranges, which decide memory-word-fault
-// eligibility — and records the commit cycle of every syscall, which lets a
-// strict FastSession execute non-whitelisted syscalls as excursions at
-// exactly their classic cycles (bail-and-resume).  Each injected run then
-// fast-executes to its position, transplants the architectural state into
-// the core, and runs the injection window and everything after it fully
-// modeled.
+// eligibility.  Each injected run then fast-executes to its position,
+// transplants the architectural state into the core, and runs the injection
+// window and everything after it fully modeled.  A prefix that meets a
+// syscall outside the strict whitelist bails, and the run starts again from
+// reset.
 #pragma once
 
 #include <map>
@@ -52,26 +51,24 @@ class FastForwardController {
   /// never be applied, and the caller falls back to the classic path.
   using BoundaryMap = std::map<Cycle, Boundary>;
 
-  /// Syscall stream position -> classic commit cycle, covering every
-  /// syscall that commits before the last mapped boundary (exactly the ones
-  /// a fast prefix can encounter).
+  /// Unused; it stays only because perfbench/ names it.
   using SyscallSchedule = std::map<u64, Cycle>;
 
   /// One instrumented cycle-accurate replay over a freshly loaded guest.
   /// The stepping loop replicates the classic injected-run loop
   /// ("step while now < inject_cycle"), so the sampled position is taken at
-  /// exactly the machine state a classic run applies its fault in.  When
-  /// `schedule` is non-null it is filled with the syscall commit cycles
-  /// observed during the same replay.
+  /// exactly the machine state a classic run applies its fault in.  The
+  /// `schedule` parameter is unused; it stays only because perfbench/
+  /// passes it.
   static BoundaryMap map_boundaries(os::GuestOs& guest, std::vector<Cycle> cycles,
                                     SyscallSchedule* schedule = nullptr);
 
-  /// Fast-forward a freshly loaded guest to `position` and transplant at
-  /// `inject_cycle`.  A non-null `schedule` arms strict bail-and-resume
-  /// (non-whitelisted syscalls run as excursions at their classic cycles).
-  /// Returns false when fast mode could not reach the position — the caller
-  /// must then rerun classically; the guest is not reusable.  On failure
-  /// `bail` (when non-null) receives the reason for fallback accounting.
+  /// Fast-forward a freshly loaded guest to `position` through a strict
+  /// session and transplant at `inject_cycle`.  Returns false when fast
+  /// mode could not reach the position — the caller must then rerun
+  /// classically; the guest is not reusable.  On failure `bail` (when
+  /// non-null) receives the reason for fallback accounting.  The `schedule`
+  /// parameter is unused; it stays only because perfbench/ passes it.
   static bool fast_forward_to(os::GuestOs& guest, const isa::Program& program, u64 position,
                               Cycle inject_cycle, const SyscallSchedule* schedule = nullptr,
                               FastSession::BailReason* bail = nullptr);

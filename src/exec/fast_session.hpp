@@ -10,26 +10,23 @@
 // the observer once, in program order, with the engine::CommitInfo the core
 // delivers for it.  The contract:
 //  - each fast-executed instruction is reported after it executes; each
-//    syscall the session delegates or runs as an excursion is reported
-//    once, after its registers and post-syscall PC are written into the
-//    core and before its handler runs, so core.context() inside the
-//    observer shows what the classic observer sees at that commit (for a
-//    fast-executed instruction the core's context is not kept current);
-//  - the instruction a bail rests on (an unexecuted syscall or an illegal
+//    syscall the session delegates is reported once, after its registers
+//    and post-syscall PC are written into the core and before its handler
+//    runs, so core.context() inside the observer shows what the classic
+//    observer sees at that commit (for a fast-executed instruction the
+//    core's context is not kept current);
+//  - the instruction a bail rests on (an undelegated syscall or an illegal
 //    word) is never reported: the core commits and reports it;
 //  - `tag` is zero and `thread` is core.thread();
 //  - `now` is the session's clock: virtual_now() before the instruction
-//    counts, or an excursion's cycle;
+//    counts;
 //  - with no observer on the core, the session runs the engine loop that
 //    carries no reporting code, so an unobserved run costs what it did
 //    before the session reported anything.
 //
-// Armed with a syscall schedule, the session additionally survives
-// non-whitelisted syscalls: it runs the handler on the real guest OS as an
-// *excursion* at exactly the cycle the classic run committed the syscall,
-// replaying any suspension on the real scheduler, then re-lifts the context
-// and continues fast.  Threaded and network prefixes become
-// fast-forwardable this way.
+// Any syscall outside the whitelist ends the fast leg: the session bails
+// with the PC on it, and the cycle-accurate core takes over from there.
+// Every handover goes one way, fast to core.
 //
 // FastForwardController is the campaign-facing piece: it maps injection
 // cycles to functional-stream positions with one instrumented golden replay
@@ -38,8 +35,6 @@
 // machine run the injection window and everything after it fully modeled.
 // Switchover guarantees and the eligibility rules live in docs/execution.md.
 #pragma once
-
-#include <map>
 
 #include "exec/block_cache.hpp"
 #include "exec/fast_engine.hpp"
@@ -52,17 +47,8 @@ struct FastSessionConfig {
   /// syscalls whose behavior is independent of simulated time: print*, sbrk,
   /// rand.  Relaxed mode (rse_run --fast) additionally allows exit and
   /// clock — clock then reads *virtual* time (instructions + syscall costs),
-  /// a documented divergence from the cycle-accurate run.  Relaxed users arm
-  /// no syscall schedule, so a relaxed session never runs an excursion.
+  /// a documented divergence from the cycle-accurate run.
   bool relaxed = false;
-
-  /// Syscall stream position -> classic commit cycle, recorded by
-  /// FastForwardController::map_boundaries during the instrumented replay.
-  /// Non-null arms bail-and-resume: a non-whitelisted syscall with an entry
-  /// runs on the cycle-accurate machine (an excursion) at exactly that
-  /// cycle and the session continues fast afterwards; without an entry the
-  /// session still bails.  Not owned; must outlive the session.
-  const std::map<u64, Cycle>* syscall_schedule = nullptr;
 
   /// Superblock chaining in the session's block cache (BlockCache::
   /// set_chaining).  Architecturally invisible — dispatch shape only; the
@@ -80,11 +66,8 @@ class FastSession : private FastEngine::CommitSink {
 
   enum class BailReason {
     kNone,
-    kSyscall,  ///< PC rests ON an un-executed, non-resumable syscall
+    kSyscall,  ///< PC rests ON an un-executed syscall outside the whitelist
     kIllegal,  ///< PC rests on an undecodable word (or outside text)
-    kSuspend,  ///< a syscall *was* executed and suspended the guest in a way
-               ///< fast mode cannot continue from (multithreaded wake-up,
-               ///< suspension unresolved within the run limit)
   };
 
   /// The guest must be load()ed and single-threaded-so-far; the session
@@ -92,13 +75,9 @@ class FastSession : private FastEngine::CommitSink {
   explicit FastSession(os::GuestOs& guest, FastSessionConfig config = {});
 
   /// Fast-execute until `target` total instructions (counted exactly like
-  /// cpu::Core::functional_pos()), the process exits, or a bail.  On a
-  /// kSyscall/kIllegal bail the state rests ON the un-executed instruction;
-  /// on a kSuspend bail the syscall has executed and the lifted context is
-  /// the thread the scheduler left on the core — either way a transplant
-  /// hands the cycle-accurate core a consistent context.  A kBoundary that
-  /// lands inside an excursion's suspension leaves the core suspended: the
-  /// caller transplants there and steps the machine, which wakes it.
+  /// cpu::Core::functional_pos()), the process exits, or a bail.  On a bail
+  /// the state rests ON the un-executed instruction, so a transplant hands
+  /// the cycle-accurate core a consistent context.
   Status run_until(u64 target_instructions);
 
   /// Run the guest to its end: fast until it exits or the guest's run limit
@@ -110,9 +89,8 @@ class FastSession : private FastEngine::CommitSink {
 
   u64 executed() const { return engine_.executed(); }
   BailReason bail_reason() const { return bail_; }
-  /// Virtual time: cycles at session start + instructions + syscall stalls,
-  /// floored at the machine clock (excursions advance the real clock).
-  Cycle virtual_now() const;
+  /// Virtual time: cycles at session start + instructions + syscall stalls.
+  Cycle virtual_now() const { return start_now_ + engine_.executed() + stall_accum_; }
 
   const FastEngine& engine() const { return engine_; }
   BlockCache& block_cache() { return cache_; }
@@ -126,21 +104,14 @@ class FastSession : private FastEngine::CommitSink {
   /// Memory needs no copy — the engine wrote the machine's MainMemory in
   /// place.  The CFC's per-thread stream state is cleared: the first
   /// post-transplant transition is fault-independent for every fast-forward-
-  /// eligible fault class, so skipping its check drops no detection.  When
-  /// the boundary landed inside a suspension (between a syscall's commit and
-  /// the scheduler's wake-up), the core is left suspended; the wake-up
-  /// replays at its absolute classic cycle once the caller steps the machine.
+  /// eligible fault class, so skipping its check drops no detection.
   void transplant(Cycle target_cycle);
 
  private:
   bool syscall_allowed(u32 number) const;
-  bool resume_eligible(u32 number) const;
   void commit(engine::CommitInfo info) override;
   void report(Cycle now, engine::CommitInfo info) const;
-  cpu::OsClient::SyscallResult commit_syscall(Cycle now);
   Status execute_syscall();
-  Status execute_syscall_excursion(u64 target);
-  Status resume_from_suspension();
 
   os::GuestOs* guest_;
   os::Machine* machine_;
@@ -149,7 +120,6 @@ class FastSession : private FastEngine::CommitSink {
   FastEngine engine_;
   Cycle start_now_ = 0;
   Cycle stall_accum_ = 0;
-  Cycle floor_ = 0;  // machine clock after the last replayed suspension
   BailReason bail_ = BailReason::kNone;
 };
 

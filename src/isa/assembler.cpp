@@ -259,15 +259,32 @@ struct Asm {
     return (format == Format::kLoad || format == Format::kStore) && is_label_form(st) ? 2 : 1;
   }
 
+  /// 2^32, the end of the guest address space.
+  static constexpr u64 kAddressSpaceEnd = u64{1} << 32;
+
+  static u64 align_up64(u64 value, u64 align) { return (value + align - 1) & ~(align - 1); }
+
+  void check_end(int line, const char* segment, u64 pc, u64 end) const {
+    if (pc <= end) return;
+    std::ostringstream msg;
+    msg << segment << " segment runs past 0x" << std::hex << end;
+    fail(line, msg.str());
+  }
+
   void pass1() {
+    // The cursors are 64-bit so that a segment running past its end is an
+    // error rather than a wrap: text ends at the data segment, data at the
+    // shared libraries (or at 2^32 for segments placed above either).
     Seg seg = Seg::kText;
-    Addr text_pc = prog.text_base;
-    Addr data_pc = prog.data_base;
+    u64 text_pc = prog.text_base;
+    u64 data_pc = prog.data_base;
+    const u64 text_end = prog.text_base < prog.data_base ? prog.data_base : kAddressSpaceEnd;
+    const u64 data_end = prog.data_base < kDefaultShlibBase ? kDefaultShlibBase : kAddressSpaceEnd;
     for (const Line& line : lines) {
-      Addr& pc = seg == Seg::kText ? text_pc : data_pc;
+      u64& pc = seg == Seg::kText ? text_pc : data_pc;
       for (const std::string& label : line.labels) {
         if (prog.symbols.count(label)) fail(line.number, "duplicate label '" + label + "'");
-        prog.symbols[label] = pc;
+        prog.symbols[label] = static_cast<Addr>(pc);
       }
       if (!line.stmt) continue;
       const Statement& st = *line.stmt;
@@ -281,27 +298,31 @@ struct Asm {
       } else if (m == ".align") {
         auto v = parse_int(st.operands.empty() ? "" : st.operands[0]);
         if (!v || *v < 0 || *v > 12) fail(line.number, "bad .align");
-        data_pc = align_up(data_pc, 1u << *v);
+        data_pc = align_up64(data_pc, u64{1} << *v);
       } else if (m == ".word") {
         if (seg != Seg::kData) fail(line.number, ".word outside .data");
-        data_pc = align_up(data_pc, 4);
+        data_pc = align_up64(data_pc, 4);
         // Re-record labels on this line at the aligned address.
-        for (const std::string& label : line.labels) prog.symbols[label] = data_pc;
-        data_pc += static_cast<Addr>(4 * st.operands.size());
+        for (const std::string& label : line.labels) {
+          prog.symbols[label] = static_cast<Addr>(data_pc);
+        }
+        data_pc += 4 * st.operands.size();
       } else if (m == ".byte") {
         if (seg != Seg::kData) fail(line.number, ".byte outside .data");
-        data_pc += static_cast<Addr>(st.operands.size());
+        data_pc += st.operands.size();
       } else if (m == ".space") {
         if (seg != Seg::kData) fail(line.number, ".space outside .data");
         auto v = parse_int(st.operands.empty() ? "" : st.operands[0]);
         if (!v || *v < 0) fail(line.number, "bad .space");
-        data_pc += static_cast<Addr>(*v);
+        data_pc += static_cast<u64>(*v);
       } else if (!m.empty() && m[0] == '.') {
         fail(line.number, "unknown directive '" + m + "'");
       } else {
         if (seg != Seg::kText) fail(line.number, "instruction outside .text");
         pc += 4 * instr_size(st, line.number);
       }
+      check_end(line.number, "text", text_pc, text_end);
+      check_end(line.number, "data", data_pc, data_end);
     }
   }
 
@@ -561,7 +582,7 @@ struct Asm {
         }
       } else if (m == ".space") {
         const i64 n = int_operand(st, 0, line.number);
-        for (i64 i = 0; i < n; ++i) data_put(data_pc + static_cast<Addr>(i), 0);
+        if (n > 0) data_put(data_pc + static_cast<Addr>(n - 1), 0);  // zero-fills the gap
         data_pc += static_cast<Addr>(n);
       } else {
         const Addr pc = prog.text_base + static_cast<Addr>(prog.text.size() * 4);

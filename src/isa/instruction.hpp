@@ -258,6 +258,23 @@ struct Instr {
   u8 chk_op = 0;     // module-specific operation selector (5 bits)
   u16 chk_imm = 0;   // config options (12 bits)
 
+  /// Snapshot hook, field by field: the struct has padding.
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(raw);
+    ar.field(op);
+    ar.field(rd);
+    ar.field(rs);
+    ar.field(rt);
+    ar.field(shamt);
+    ar.field(imm);
+    ar.field(target);
+    ar.field(chk_module);
+    ar.field(chk_blocking);
+    ar.field(chk_op);
+    ar.field(chk_imm);
+  }
+
   OpClass op_class() const {
     if (op == Op::kSll && rd == 0 && rt == 0 && shamt == 0) return OpClass::kNop;
     return op_info(op).op_class;

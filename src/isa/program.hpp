@@ -14,6 +14,9 @@ namespace rse::isa {
 /// which is exactly what the MLR module randomizes).
 inline constexpr Addr kDefaultTextBase = 0x0040'0000;
 inline constexpr Addr kDefaultDataBase = 0x1000'0000;
+/// Where the loader maps shared libraries, unless MLR moves them; a data
+/// segment below it must end by it.
+inline constexpr Addr kDefaultShlibBase = 0x6000'0000;
 // Kept 2 MB below 0x8000'0000 so MLR's randomization window (up to 1 MB
 // upward) never pushes stack addresses across the signed-compare boundary.
 inline constexpr Addr kDefaultStackTop = 0x7FE0'0000;

@@ -91,6 +91,21 @@ class AhbmModule : public engine::Module {
     double dev_gap = 0;
     bool seeded = false;
     bool hung = false;
+
+    /// Snapshot hook, field by field: the struct has padding.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(used);
+      ar.field(entity);
+      ar.field(counter);
+      ar.field(sampled_counter);
+      ar.field(last_change);
+      ar.field(timeout);
+      ar.field(mean_gap);
+      ar.field(dev_gap);
+      ar.field(seeded);
+      ar.field(hung);
+    }
   };
 
   Slot* find(u32 entity);

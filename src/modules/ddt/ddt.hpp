@@ -168,6 +168,15 @@ class DdtModule : public engine::Module {
     ThreadId write_owner = kNoThread;
     u64 lru = 0;
     bool prereserved = false;  // allocated from the static footprint, untouched
+
+    /// Snapshot hook, field by field: the struct has padding.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(read_owner);
+      ar.field(write_owner);
+      ar.field(lru);
+      ar.field(prereserved);
+    }
   };
 
   PstEntry& pst_lookup(u32 page);

@@ -85,7 +85,7 @@ void GuestOs::load(const isa::Program& program,
 
   stack_base_ = isa::kDefaultStackTop;
   heap_base_ = align_up(program.data_end(), mem::kPageBytes);
-  shlib_base_ = 0x6000'0000;
+  shlib_base_ = isa::kDefaultShlibBase;
 
   if (config_.randomize_layout) {
     auto* mlr = machine_->mlr();

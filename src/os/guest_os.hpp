@@ -144,6 +144,14 @@ struct RunSlice {
   ThreadId thread = kNoThread;
   Cycle from = 0;
   Cycle to = 0;
+
+  /// Snapshot hook, field by field: the struct has padding.
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(thread);
+    ar.field(from);
+    ar.field(to);
+  }
 };
 
 struct OsStats {
@@ -275,6 +283,17 @@ class GuestOs : public cpu::OsClient {
     Cycle wake_at = 0;        // kBlockedIo
     ThreadId join_target = kNoThread;
     Addr stack_top = 0;
+
+    /// Snapshot hook, field by field: the struct has padding.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(id);
+      ar.field(ctx);
+      ar.field(state);
+      ar.field(wake_at);
+      ar.field(join_target);
+      ar.field(stack_top);
+    }
   };
 
   void scheduler_tick(Cycle now);
@@ -326,7 +345,7 @@ class GuestOs : public cpu::OsClient {
   Addr brk_ = 0;
   Addr stack_base_ = isa::kDefaultStackTop;
   Addr heap_base_ = 0;
-  Addr shlib_base_ = 0x6000'0000;
+  Addr shlib_base_ = isa::kDefaultShlibBase;
 
   std::shared_ptr<const analysis::AnalysisResult> analysis_;
   std::map<Addr, u32> check_error_counts_;

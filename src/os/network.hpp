@@ -19,6 +19,16 @@ struct NetworkConfig {
   Cycle io_latency_mean = 9000;   // mean backend wait per kNetIo call
   u32 jitter_pct = 40;            // +/- jitter applied to both
   u64 seed = 7;
+
+  /// Snapshot hook, field by field: the struct has padding.
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(total_requests);
+    ar.field(interarrival);
+    ar.field(io_latency_mean);
+    ar.field(jitter_pct);
+    ar.field(seed);
+  }
 };
 
 struct NetworkStats {

@@ -14,11 +14,20 @@
 
 namespace rse::engine {
 
+// The payloads below have padding, so their snapshot hooks write them
+// field by field.
+
 struct InstrTag {
   u32 slot = 0;  // RUU / IOQ / input-queue entry index
   u64 seq = 0;   // global dispatch sequence number
 
   friend bool operator==(const InstrTag&, const InstrTag&) = default;
+
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(slot);
+    ar.field(seq);
+  }
 };
 
 /// Payload pushed when an instruction is dispatched: the union of what the
@@ -31,6 +40,17 @@ struct DispatchInfo {
   Word operands[2] = {0, 0};  // register operand values (Regfile_Data)
   u8 operand_count = 0;
   bool wrong_path = false;  // fetched down a mispredicted path
+
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(tag);
+    ar.field(pc);
+    ar.field(instr);
+    ar.field(thread);
+    ar.field(operands);
+    ar.field(operand_count);
+    ar.field(wrong_path);
+  }
 };
 
 /// Payload for Execute_Out: ALU result or effective address.
@@ -39,6 +59,14 @@ struct ExecuteInfo {
   Word result = 0;
   Addr eff_addr = 0;
   bool is_mem = false;
+
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(tag);
+    ar.field(result);
+    ar.field(eff_addr);
+    ar.field(is_mem);
+  }
 };
 
 /// Payload for Commit_Out.  Carries the data an asynchronous module logs as
@@ -55,6 +83,16 @@ struct CommitInfo {
   ThreadId thread = kNoThread;
   Addr eff_addr = 0;   // valid for loads/stores
   Word mem_value = 0;  // store value (unmasked rt) / loaded value (extended)
+
+  template <class Ar>
+  void serialize_state(Ar& ar) {
+    ar.field(tag);
+    ar.field(pc);
+    ar.field(instr);
+    ar.field(thread);
+    ar.field(eff_addr);
+    ar.field(mem_value);
+  }
 };
 // The framework's event ring stores every payload in one union: a commit
 // record must not outgrow a dispatch record.

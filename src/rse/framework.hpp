@@ -157,6 +157,27 @@ class Framework {
       CommitInfo commit;
       InstrTag squash;
     };
+
+    /// Snapshot hook: the kind, then only the payload the kind selects
+    /// (the rest of the union is indeterminate bytes).
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(kind);
+      ar.field(visible_from);
+      switch (kind) {
+        case Kind::kDispatch: payload(ar, dispatch); break;
+        case Kind::kExecute: payload(ar, execute); break;
+        case Kind::kCommit: payload(ar, commit); break;
+        case Kind::kSquash: payload(ar, squash); break;
+      }
+    }
+
+   private:
+    template <class Ar, class T>
+    static void payload(Ar& ar, T& member) {
+      if constexpr (!Ar::kIsWriter) member = T{};  // makes it the active member
+      ar.field(member);
+    }
   };
   static_assert(std::is_trivially_copyable_v<Event>);
 

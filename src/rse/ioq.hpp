@@ -44,6 +44,19 @@ class Ioq {
     // transition bookkeeping for the self-checking watchdog
     Cycle allocated_at = 0;
     Cycle last_valid_set = 0;
+
+    /// Snapshot hook, field by field: the struct has padding.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(allocated);
+      ar.field(pending_check);
+      ar.field(check_valid);
+      ar.field(check);
+      ar.field(tag);
+      ar.field(module);
+      ar.field(allocated_at);
+      ar.field(last_valid_set);
+    }
   };
 
   /// unanswered_since() when no entry owes a result.

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "campaign/shard.hpp"
 #include "common/error.hpp"
 
 namespace rse::campaign {
@@ -125,6 +127,28 @@ TEST(CampaignRunner, RunsCsvAndJsonExport) {
   const std::string summary = summary_text(report);
   EXPECT_NE(summary.find("detection coverage"), std::string::npos);
   EXPECT_NE(summary.find("runs/sec"), std::string::npos);
+}
+
+TEST(CampaignRunner, JsonCarriesEveryShardHeaderKey) {
+  // The shard report's header names everything that identifies a campaign;
+  // a JSON reader must be able to tell the same (fault targets, hang budget,
+  // refinement knobs included).
+  CampaignSpec spec = loop_spec(4, 1);
+  spec.targets = {InjectTarget::kRegisterBit, InjectTarget::kDataWord};
+  CampaignRunner runner;
+  const CampaignReport report = runner.run(spec);
+  const std::string json = to_json(report);
+  std::istringstream header(shard_report_text(report));
+  std::string line;
+  std::getline(header, line);  // the format line
+  u32 keys = 0;
+  while (std::getline(header, line) && line.rfind("run ", 0) != 0 && line != "end") {
+    const std::string key = line.substr(0, line.find(' '));
+    EXPECT_NE(json.find("\"" + key + "\": "), std::string::npos) << key;
+    ++keys;
+  }
+  EXPECT_GE(keys, 25u);
+  EXPECT_NE(json.find("\"targets\": [\"reg\", \"data\"]"), std::string::npos) << json;
 }
 
 TEST(CampaignRunner, FastForwardLeavesEveryClassifiedOutcomeUnchanged) {

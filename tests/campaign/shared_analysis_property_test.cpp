@@ -85,12 +85,10 @@ TEST_F(SharedAnalysisProperty, CallsFastForward) {
     std::vector<Cycle> cycles;
     for (u32 i = 0; i < kRuns; ++i) cycles.push_back(plan_->record(i).inject_cycle);
     BootedGuest boot(setup_, golden.program, budget_, golden.analysis);
-    exec::FastForwardController::SyscallSchedule schedule;
     const exec::FastForwardController::BoundaryMap boundaries =
-        exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles), &schedule);
+        exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles));
     return run_plan([&](const InjectionRecord& record) {
-      return runner_.run_one_fast_forward(setup_, golden, record, budget_, boundaries,
-                                          &schedule);
+      return runner_.run_one_fast_forward(setup_, golden, record, budget_, boundaries);
     });
   };
   const std::vector<RunResult> shared = fast_forward(*shared_);

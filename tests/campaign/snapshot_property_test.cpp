@@ -12,7 +12,10 @@
 // Snapshot points sweep the reference run's cycle buckets, and the
 // campaign-level test pins the checkpoint-fork digest across bucket counts
 // with --fast-forward both off and on (the chain is built from reset
-// either way).
+// either way).  DME campaigns fork too: a forked run's trace checker starts
+// at the snapshot's commit-record count, which must equal what a from-reset
+// run delivers to the commit observer by then, and a forked DME campaign
+// must reproduce the from-reset one run for run.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -230,6 +233,140 @@ TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForw
             << " buckets=" << buckets << " fast_forward=" << fast_forward;
       }
     }
+  }
+}
+
+TEST(SnapshotPropertyTest, ChainBytesDependOnlyOnTheRun) {
+  // A snapshot holds value state only, never padding or union bytes no
+  // member owns: two chains of one campaign, built back to back in one
+  // process, are byte-identical.
+  campaign::CampaignSpec spec;
+  spec.workload = "server";
+  spec.static_cfc = true;
+  spec.static_ddt = true;
+  spec.snapshot_fork = true;
+  campaign::CampaignRunner runner;
+  const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
+  const auto golden = runner.cache().get(setup);
+  const Cycle budget = golden->cycles * 8 + 20'000;
+  const campaign::SnapshotChain first =
+      runner.build_snapshot_chain(setup, *golden, spec, budget, false);
+  const campaign::SnapshotChain second =
+      runner.build_snapshot_chain(setup, *golden, spec, budget, false);
+  ASSERT_EQ(first.snaps.size(), spec.snapshot_buckets);
+  ASSERT_EQ(second.snaps.size(), first.snaps.size());
+  for (std::size_t i = 0; i < first.snaps.size(); ++i) {
+    const std::vector<u8>& a = first.snaps[i].bytes;
+    const std::vector<u8>& b = second.snaps[i].bytes;
+    EXPECT_EQ(first.snaps[i].at, second.snaps[i].at);
+    ASSERT_EQ(a.size(), b.size()) << "snapshot " << i;
+    std::size_t differing = 0;
+    for (std::size_t k = 0; k < a.size(); ++k) differing += a[k] != b[k];
+    EXPECT_EQ(differing, 0u) << "snapshot " << i << " of " << a.size() << " bytes";
+  }
+}
+
+/// The DME campaign spec the fork tests share.
+campaign::CampaignSpec dme_spec(const char* workload, u32 runs) {
+  campaign::CampaignSpec spec;
+  spec.workload = workload;
+  spec.runs = runs;
+  spec.seed = 1;
+  spec.jobs = 2;
+  spec.dme = true;
+  return spec;
+}
+
+/// At every snapshot of `setup`'s chain, the restored machine's
+/// commit_records() equals the records a from-reset run has delivered to
+/// the commit observer by the snapshot's cycle.  Returns the from-reset
+/// run's illegal traps at the last snapshot.
+u64 expect_commit_records_match(const campaign::WorkloadSetup& setup) {
+  campaign::CampaignRunner runner;
+  const auto golden = runner.cache().get(setup);
+  const Cycle budget = golden->cycles * 8 + 20'000;
+  const campaign::SnapshotChain chain =
+      runner.build_snapshot_chain(setup, *golden, campaign::CampaignSpec{}, budget, false);
+  EXPECT_GE(chain.snaps.size(), 4u) << setup.name;
+
+  campaign::BootedGuest reset(setup, golden->program, budget, golden->analysis);
+  u64 records = 0;
+  reset.machine.core().set_commit_observer(
+      [&records](Cycle, const engine::CommitInfo&) { ++records; });
+  for (const os::MachineSnapshot& snap : chain.snaps) {
+    EXPECT_TRUE(reset.guest.run_until(snap.at)) << setup.name;
+    campaign::BootedGuest fork(setup, golden->program, budget, golden->analysis);
+    os::MachineSnapshot::restore(snap, fork.machine, fork.guest);
+    EXPECT_EQ(campaign::commit_records(fork.machine, fork.guest), records)
+        << setup.name << " at cycle " << snap.at;
+  }
+  return reset.guest.stats().illegal_traps;
+}
+
+TEST(SnapshotPropertyTest, RestoredCommitRecordsMatchAFromResetRunsObserver) {
+  // Instrumented (CHK), multithreaded and plain workloads, each as the
+  // randomized DME variant A that a DME campaign's chain captures.
+  for (const char* workload : {"loop", "server", "attack-chk"}) {
+    campaign::CampaignSpec spec = dme_spec(workload, 1);
+    expect_commit_records_match(campaign::CampaignRunner::setup_for(spec));
+  }
+  // A worker that jumps out of text commits an invalid word, which the OS
+  // takes as an illegal trap; the DDT recovers the thread and main goes on.
+  campaign::WorkloadSetup trap;
+  trap.name = "illegal-worker";
+  trap.source = R"(
+.data
+nowhere: .word 0
+.text
+main:
+  la a0, worker
+  li v0, 6
+  syscall
+  li v0, 8
+  syscall
+  li t0, 0
+  li t1, 4000
+spin:
+  addi t0, t0, 1
+  blt t0, t1, spin
+  li a0, 0
+  li v0, 1
+  syscall
+worker:
+  la t2, nowhere
+  jr t2
+)";
+  trap.machine.framework_present = true;
+  trap.host_enables = {isa::ModuleId::kDdt};
+  EXPECT_GE(expect_commit_records_match(trap), 1u) << "the worker never trapped";
+}
+
+TEST(SnapshotPropertyTest, ForkedDmeCampaignMatchesFromReset) {
+  // attack-heap's fault-free variants diverge, so its runs must all start
+  // from reset; every other workload here forks most of its runs.
+  campaign::GoldenCache cache;
+  campaign::CampaignRunner runner(&cache);
+  for (const char* workload : {"loop", "attack-chk", "benign-heap", "attack-heap"}) {
+    const campaign::CampaignSpec spec = dme_spec(workload, 32);
+    campaign::CampaignSpec fork_spec = spec;
+    fork_spec.snapshot_fork = true;
+    const campaign::CampaignReport reset = runner.run(spec);
+    const campaign::CampaignReport forked = runner.run(fork_spec);
+    EXPECT_EQ(campaign::deterministic_digest(forked), campaign::deterministic_digest(reset))
+        << workload;
+    EXPECT_EQ(forked.results, reset.results) << workload;
+
+    const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
+    const auto golden = cache.get(setup);
+    const Cycle budget = golden->cycles * 8 + 20'000;
+    const campaign::SnapshotChain chain =
+        runner.build_snapshot_chain(setup, *golden, fork_spec, budget, false);
+    ASSERT_FALSE(chain.snaps.empty()) << workload;
+    u32 forkable = 0;
+    for (const campaign::RunResult& r : reset.results) {
+      if (r.record.inject_cycle >= chain.snaps.front().at) ++forkable;
+    }
+    EXPECT_GE(forkable, 16u) << workload << ": too few runs would fork to test anything";
   }
 }
 

@@ -25,7 +25,6 @@ namespace {
 
 using testing::RandomProgramOptions;
 using testing::SimRunner;
-using testing::classic_schedule;
 using testing::generate_random_program;
 
 void write_program(mem::MainMemory& memory, const isa::Program& program) {
@@ -539,86 +538,6 @@ main:
   EXPECT_EQ(fast_runner.os().output(), classic_runner.os().output());
   ASSERT_EQ(classic.size(), 15u);
   EXPECT_EQ(fast, classic);
-}
-
-TEST(FastSession, ResumeRunsThroughYieldAndFinishesFast) {
-  // Bail-and-resume: a yield suspends the only thread; the session, armed
-  // with the classic run's syscall schedule, executes it as an excursion on
-  // the cycle-accurate machine at its classic cycle, replays the suspension
-  // on the real scheduler, and continues fast to completion (the exit runs
-  // as an excursion too).
-  const std::string source =
-      ".text\nmain:\n"
-      "  li v0, 8\n  syscall\n"  // sys_yield: suspends, scheduler resumes us
-      "  li a0, 7\n  li v0, 2\n  syscall\n"  // print_int 7
-      "  li a0, 0\n  li v0, 1\n  syscall\n";
-  const exec::FastForwardController::SyscallSchedule schedule = classic_schedule(source);
-  SimRunner runner;
-  runner.load_source(source);
-  exec::FastSessionConfig config;
-  config.syscall_schedule = &schedule;
-  exec::FastSession session(runner.os(), config);
-  session.seed_leaders(runner.program());
-  EXPECT_EQ(session.run_until(1000), exec::FastSession::Status::kExited);
-  EXPECT_TRUE(runner.os().finished());
-  EXPECT_EQ(runner.os().output(), "7");
-  // Without a schedule, the same prefix bails with the PC still ON the yield.
-  SimRunner bail_runner;
-  bail_runner.load_source(source);
-  exec::FastSession no_resume(bail_runner.os());
-  no_resume.seed_leaders(bail_runner.program());
-  EXPECT_EQ(no_resume.run_until(1000), exec::FastSession::Status::kBail);
-  EXPECT_EQ(no_resume.bail_reason(), exec::FastSession::BailReason::kSyscall);
-}
-
-TEST(FastSession, SecondLiveThreadBailsAsSuspendNotSyscall) {
-  // Regression (bail-reason split): once thread_create has *executed*, the
-  // session is past the instruction and must report kSuspend — reporting it
-  // as kSyscall would claim an un-executed syscall sits at the PC.
-  const std::string source =
-      ".text\nmain:\n"
-      "  la a0, worker\n"
-      "  li v0, 6\n  syscall\n"  // thread_create(worker) -> v0 = worker id
-      "  add a0, v0, r0\n  li v0, 9\n  syscall\n"  // join(worker)
-      "  li a0, 0\n  li v0, 1\n  syscall\n"
-      "worker:\n"
-      "  li v0, 7\n  syscall\n";  // thread_exit
-  const exec::FastForwardController::SyscallSchedule schedule = classic_schedule(source);
-  SimRunner runner;
-  runner.load_source(source);
-  exec::FastSessionConfig config;
-  config.syscall_schedule = &schedule;
-  exec::FastSession session(runner.os(), config);
-  session.seed_leaders(runner.program());
-  const u64 before = session.executed();
-  EXPECT_EQ(session.run_until(1000), exec::FastSession::Status::kBail);
-  EXPECT_EQ(session.bail_reason(), exec::FastSession::BailReason::kSuspend);
-  EXPECT_GT(session.executed(), before);  // the syscall itself was credited
-  // Bail state is consistent: transplanting and running classically from
-  // here finishes the whole two-thread program.
-  session.transplant(session.virtual_now());
-  runner.run();
-  EXPECT_TRUE(runner.os().finished());
-  EXPECT_EQ(runner.os().exit_code(), 0);
-}
-
-TEST(FastSession, StrictResumeRequiresScheduleEntry) {
-  // A session armed with a schedule that has no entry for the syscall's
-  // stream position must bail kSyscall *before* executing it — excursions
-  // without a classic commit cycle would run at the wrong time.
-  const std::string source =
-      ".text\nmain:\n"
-      "  li v0, 8\n  syscall\n"  // yield — not whitelisted in strict mode
-      "  li a0, 0\n  li v0, 1\n  syscall\n";
-  SimRunner runner;
-  runner.load_source(source);
-  const exec::FastForwardController::SyscallSchedule empty;
-  exec::FastSessionConfig config;
-  config.syscall_schedule = &empty;
-  exec::FastSession session(runner.os(), config);
-  session.seed_leaders(runner.program());
-  EXPECT_EQ(session.run_until(1000), exec::FastSession::Status::kBail);
-  EXPECT_EQ(session.bail_reason(), exec::FastSession::BailReason::kSyscall);
 }
 
 // -------------------------------------------------------------- fast goldens

@@ -9,7 +9,8 @@
 // handler observes — and at exit: output, exit code, and the final arena
 // memory (working-register dump included).  Programs with self-modifying
 // stores to the text segment are part of the suite, and yielding programs
-// run a strict session armed with the classic run's syscall schedule.
+// run a strict session, which bails at the first yield and hands the rest
+// of the run to the core.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,8 @@
 
 #include "../support/random_program.hpp"
 #include "../support/sim_runner.hpp"
-#include "exec/fast_forward.hpp"
 #include "exec/fast_session.hpp"
+#include "os/guest_os.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rse {
@@ -28,7 +29,6 @@ namespace {
 
 using testing::RandomProgramOptions;
 using testing::SimRunner;
-using testing::classic_schedule;
 using testing::generate_random_program;
 
 /// One committed instruction, as the core's commit observer reports it.
@@ -43,6 +43,7 @@ struct Commit {
 struct Snapshot {
   Addr pc = 0;  // post-syscall PC, as the OS handler sees it
   std::array<Word, isa::kNumRegs> regs{};
+  std::size_t commit = 0;  // the syscall's index in the commit stream
   bool operator==(const Snapshot& other) const {
     return pc == other.pc && regs == other.regs;
   }
@@ -56,6 +57,8 @@ struct RunTrace {
   std::vector<Snapshot> boundaries;  // one per executed syscall, in order
   std::vector<u8> arena;
   bool bailed = false;  // a fast run that left the fast engine
+  exec::FastSession::BailReason bail_reason = exec::FastSession::BailReason::kNone;
+  u64 fast_executed = 0;  // instructions the fast engine committed
 };
 
 std::vector<u8> arena_bytes(SimRunner& runner) {
@@ -77,7 +80,7 @@ void attach_commit_probe(SimRunner& runner, RunTrace* out) {
     out->commits.push_back(Commit{info.pc, info.instr.raw, info.eff_addr, info.mem_value});
     if (info.instr.op != isa::Op::kSyscall) return;
     const cpu::ThreadContext ctx = core.context();
-    out->boundaries.push_back(Snapshot{ctx.pc, ctx.regs});
+    out->boundaries.push_back(Snapshot{ctx.pc, ctx.regs, out->commits.size() - 1});
   });
 }
 
@@ -114,6 +117,8 @@ RunTrace run_fast(const std::string& source, const exec::FastSessionConfig& sess
   exec::FastSession session(runner.os(), session_config);
   session.seed_leaders(runner.program());
   trace.bailed = session.run_to_end() == exec::FastSession::Status::kBail;
+  trace.bail_reason = session.bail_reason();
+  trace.fast_executed = session.executed();
   finish_trace(runner, &trace);
   return trace;
 }
@@ -222,30 +227,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastDifferentialSelfModifying,
 
 class FastDifferentialYielding : public ::testing::TestWithParam<u64> {};
 
-// The name predates the schedule-armed strict session below (it once ran a
-// relaxed session with resume); it is kept on purpose so the 50 per-seed
-// test IDs stay stable across history.
+// The name predates the strict bail below (it once ran a session that
+// resumed after each yield); it is kept so the 50 per-seed test IDs stay
+// stable across history.
 TEST_P(FastDifferentialYielding, RelaxedResumeMatchesAtEveryBoundaryAndExit) {
-  // Bail-and-resume prefixes: yields suspend the single thread mid-program.
-  // A strict session armed with the syscall schedule that
-  // FastForwardController::map_boundaries records on a classic replay runs
-  // each yield, and the exit, as an excursion at its classic commit cycle
-  // (the path campaign fast-forward takes), replays each suspension on the
-  // real scheduler and continues fast: the run finishes without a bail, and
-  // every boundary snapshot and the final state match the cycle-accurate
-  // run.
+  // Yields suspend the single thread mid-program, and yield is outside the
+  // strict whitelist: a strict session (the campaign fast-forward prefix's)
+  // bails ON the first yield, and run_to_end() hands the rest of the run to
+  // the core.  A program whose path never yields bails at its exit, the
+  // only other syscall outside the whitelist.  The commit stream, every
+  // boundary snapshot and the final state must match the cycle-accurate run.
   RandomProgramOptions options;
   options.with_memory = true;
   options.with_loops = true;
   options.yield_points = true;
   options.print_progress = true;
   const std::string source = generate_random_program(GetParam(), options);
-  const exec::FastForwardController::SyscallSchedule schedule = classic_schedule(source);
-  exec::FastSessionConfig config;
-  config.syscall_schedule = &schedule;
-  const RunTrace fast = run_fast(source, config);
-  EXPECT_FALSE(fast.bailed);
-  expect_traces_equal(fast, run_classic(source));
+  const RunTrace classic = run_classic(source);
+  const auto first_unlisted =
+      std::find_if(classic.boundaries.begin(), classic.boundaries.end(), [](const Snapshot& s) {
+        const auto number = static_cast<os::Sys>(s.regs[isa::kV0]);
+        return number == os::Sys::kYield || number == os::Sys::kExit;
+      });
+  ASSERT_NE(first_unlisted, classic.boundaries.end());
+  const RunTrace fast = run_fast(source, exec::FastSessionConfig{});
+  EXPECT_TRUE(fast.bailed);
+  EXPECT_EQ(fast.bail_reason, exec::FastSession::BailReason::kSyscall);
+  EXPECT_EQ(fast.fast_executed, first_unlisted->commit);
+  expect_traces_equal(fast, classic);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastDifferentialYielding, ::testing::Range<u64>(5500, 5550));

@@ -1,13 +1,13 @@
 // Fast-forward eligibility property harness: randomized guest programs pin
 // the campaign fast path against the classic path for every fast-forward-
 // eligible fault class — register bits, instruction words, data words, and
-// bail-and-resume prefixes (yielding programs) — plus windowed-campaign
-// digest invariance on the shipped workloads.
+// yielding programs, whose prefixes fall back at their first yield — plus
+// windowed-campaign digest invariance on the shipped workloads.
 //
 // For each random program the harness replicates exactly what
 // CampaignRunner::run does under --fast-forward: one instrumented replay
 // maps the plan's injection cycles to boundaries (positions + in-flight
-// ranges) and records the syscall schedule, then every record runs once
+// ranges), then every record runs once
 // classically and once through run_one_fast_forward.  The classified
 // outcome and fault_applied — the per-run digest content — must match
 // record-for-record; which path a run took must never show.
@@ -29,7 +29,9 @@ using testing::generate_random_program;
 
 // Aggregated across the whole binary so the trailing coverage test can
 // assert the fast path was genuinely exercised (not satisfied vacuously by
-// every record falling back to classic).
+// every record falling back to classic).  Yielding programs stay out: their
+// prefixes fall back at the first yield by design, and their test checks
+// that per run.
 campaign::FastForwardStats g_accum;
 u64 g_programs = 0;
 
@@ -40,16 +42,17 @@ void accumulate(const campaign::FastForwardStats& stats) {
   g_accum.fallback_conflict += stats.fallback_conflict;
   g_accum.fallback_checked += stats.fallback_checked;
   g_accum.fallback_syscall += stats.fallback_syscall;
-  g_accum.fallback_suspend += stats.fallback_suspend;
   g_accum.fallback_illegal += stats.fallback_illegal;
   g_accum.fallback_other += stats.fallback_other;
   ++g_programs;
 }
 
 /// Classic vs fast-forward differential over one random program: every
-/// record of a small plan for `target` must classify identically.
+/// record of a small plan for `target` must classify identically.  The
+/// program's fallback accounting lands in `stats`.
 void expect_fast_forward_matches_classic(u64 seed, campaign::InjectTarget target,
-                                         const RandomProgramOptions& options) {
+                                         const RandomProgramOptions& options,
+                                         campaign::FastForwardStats* stats) {
   campaign::WorkloadSetup setup;
   setup.name = "random-ff";
   setup.source = generate_random_program(seed, options);
@@ -69,7 +72,6 @@ void expect_fast_forward_matches_classic(u64 seed, campaign::InjectTarget target
   // The instrumented replay, exactly as CampaignRunner::run stages it.
   std::vector<Cycle> cycles;
   for (u32 i = 0; i < spec.runs; ++i) cycles.push_back(plan.record(i).inject_cycle);
-  exec::FastForwardController::SyscallSchedule schedule;
   exec::FastForwardController::BoundaryMap boundaries;
   {
     os::OsConfig os_config = setup.os;
@@ -77,8 +79,7 @@ void expect_fast_forward_matches_classic(u64 seed, campaign::InjectTarget target
     os::Machine machine(setup.machine);
     os::GuestOs guest(machine, os_config);
     guest.load(golden.program);
-    boundaries =
-        exec::FastForwardController::map_boundaries(guest, std::move(cycles), &schedule);
+    boundaries = exec::FastForwardController::map_boundaries(guest, std::move(cycles));
   }
 
   for (u32 i = 0; i < spec.runs; ++i) {
@@ -86,13 +87,20 @@ void expect_fast_forward_matches_classic(u64 seed, campaign::InjectTarget target
     const campaign::RunResult classic =
         runner.run_one_with_budget(setup, golden, record, budget);
     const campaign::RunResult fast =
-        runner.run_one_fast_forward(setup, golden, record, budget, boundaries, &schedule);
+        runner.run_one_fast_forward(setup, golden, record, budget, boundaries);
     EXPECT_EQ(fast.outcome, classic.outcome)
         << "seed " << seed << ", run " << i << ": " << campaign::describe(record);
     EXPECT_EQ(fast.fault_applied, classic.fault_applied)
         << "seed " << seed << ", run " << i << ": " << campaign::describe(record);
   }
-  accumulate(runner.fast_forward_stats());
+  *stats = runner.fast_forward_stats();
+}
+
+void expect_fast_forward_matches_classic(u64 seed, campaign::InjectTarget target,
+                                         const RandomProgramOptions& options) {
+  campaign::FastForwardStats stats;
+  expect_fast_forward_matches_classic(seed, target, options, &stats);
+  accumulate(stats);
 }
 
 class FastForwardInstrWord : public ::testing::TestWithParam<u64> {};
@@ -123,16 +131,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FastForwardDataWord, ::testing::Range<u64>(6100,
 class FastForwardResumePrefix : public ::testing::TestWithParam<u64> {};
 
 TEST_P(FastForwardResumePrefix, OutcomeMatchesClassicForEveryRecord) {
-  // Yielding programs: the fault-free prefix suspends repeatedly, so the
-  // fast path crosses each yield as a scheduled excursion (bail-and-resume)
-  // — or falls back, but either way the classification must match.
+  // Yielding programs: yield is outside the strict whitelist, so a prefix
+  // that reaches one bails and the run falls back as `syscall`; prefixes
+  // that end before the first yield stay fast.  Either way the
+  // classification must match, and a yield is the only reason a mapped
+  // prefix falls back.
   RandomProgramOptions options;
   options.with_memory = true;
   options.with_loops = true;
   options.yield_points = true;
   options.print_progress = true;
-  expect_fast_forward_matches_classic(GetParam(), campaign::InjectTarget::kRegisterBit,
-                                      options);
+  campaign::FastForwardStats stats;
+  expect_fast_forward_matches_classic(GetParam(), campaign::InjectTarget::kRegisterBit, options,
+                                      &stats);
+  EXPECT_EQ(stats.fast + stats.fallback_syscall + stats.fallback_unmapped, 6u)
+      << "fast " << stats.fast << ", syscall " << stats.fallback_syscall << ", unmapped "
+      << stats.fallback_unmapped << ", other " << stats.fallback_other;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastForwardResumePrefix, ::testing::Range<u64>(6200, 6250));
@@ -149,8 +163,7 @@ class FastPathCoverageEnvironment : public ::testing::Environment {
         << "(fallbacks: target " << g_accum.fallback_target << ", unmapped "
         << g_accum.fallback_unmapped << ", conflict " << g_accum.fallback_conflict
         << ", checked " << g_accum.fallback_checked
-        << ", syscall " << g_accum.fallback_syscall << ", suspend "
-        << g_accum.fallback_suspend << ", illegal " << g_accum.fallback_illegal
+        << ", syscall " << g_accum.fallback_syscall << ", illegal " << g_accum.fallback_illegal
         << ", other " << g_accum.fallback_other << ")";
     EXPECT_EQ(g_accum.fallback_target, 0u);   // no config faults in these plans
     EXPECT_EQ(g_accum.fallback_illegal, 0u);  // fault-free prefixes never trap

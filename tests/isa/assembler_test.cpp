@@ -277,6 +277,36 @@ TEST(Assembler, Errors) {
       EXPECT_THROW(assemble(source), AssemblyError) << line;
     }
   }
+
+  // Segment bounds: text ends at the data segment, data at the shared
+  // libraries (0x6000'0000), or at 2^32 when placed above them.  Each
+  // segment may end exactly at its bound; one byte more does not wrap.
+  struct Layout {
+    Addr text_base, data_base;
+    const char* source;
+    bool accepted;
+  };
+  const Layout layouts[] = {
+      {0x0FFF'FFF8, kDefaultDataBase, ".text\nmain:\n  nop\n  nop\n", true},
+      {0x0FFF'FFF8, kDefaultDataBase, ".text\nmain:\n  nop\n  nop\n  nop\n", false},
+      {0x0FFF'FFF8, kDefaultDataBase, ".text\nmain:\n  la t0, main\n  nop\n", false},
+      {kDefaultTextBase, 0x5FFF'FFF0, ".data\n  .space 16\n", true},
+      {kDefaultTextBase, 0x5FFF'FFF0, ".data\n  .space 17\n", false},
+      {kDefaultTextBase, 0x5FFF'FFF0, ".data\n  .byte 1\n  .space 15\n  .word 2\n", false},
+      {kDefaultTextBase, 0x5FFF'FFFD, ".data\n  .word 1\n", false},  // aligned to 0x6000'0000
+      {kDefaultTextBase, 0xFFFF'FFF0, ".data\n  .space 16\n", true},
+      {kDefaultTextBase, 0xFFFF'FFF0, ".data\n  .space 17\n", false},
+      {kDefaultTextBase, kDefaultDataBase, ".data\n  .space 4294967295\n", false},
+      {kDefaultTextBase, kDefaultDataBase, ".data\n  .space 0x50000000\n  .byte 0\n", false},
+  };
+  for (const Layout& layout : layouts) {
+    const AssembleOptions options{.text_base = layout.text_base, .data_base = layout.data_base};
+    if (layout.accepted) {
+      EXPECT_NO_THROW(assemble(layout.source, options)) << layout.source;
+    } else {
+      EXPECT_THROW(assemble(layout.source, options), AssemblyError) << layout.source;
+    }
+  }
 }
 
 TEST(Assembler, TextWordLookup) {

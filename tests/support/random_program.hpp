@@ -49,10 +49,8 @@ struct RandomProgramOptions {
   /// snapshots the full register file there in both execution modes.
   bool print_progress = false;
   /// Emit sys_yield at random block boundaries.  Yield is outside every
-  /// fast-mode whitelist and suspends the calling thread, so these programs
-  /// exercise bail-and-resume: a session armed with the classic run's
-  /// syscall schedule must execute the yield as a cycle-accurate excursion
-  /// and continue fast afterwards.
+  /// fast-mode whitelist and suspends the calling thread, so a fast session
+  /// bails at the first one and the cycle-accurate core runs the rest.
   bool yield_points = false;
   /// Attack-shaped traffic for the security suites (docs/security.md):
   /// framed helpers that store far past their own $sp envelope (deep
@@ -152,8 +150,7 @@ inline std::string generate_random_program(u64 seed, const RandomProgramOptions&
     }
     if (options.yield_points && rng.next_below(3) == 0) {
       // Suspension point: the single thread yields and the scheduler
-      // immediately re-selects it.  Classic runs replay the suspension on
-      // the real scheduler; fast prefixes need bail-and-resume to cross it.
+      // immediately re-selects it.  Only the cycle-accurate core runs it.
       s << "  li v0, 8\n  syscall\n";
     }
     if (options.self_modifying && rng.next_below(3) == 0) {

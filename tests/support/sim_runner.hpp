@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "exec/fast_forward.hpp"
 #include "isa/assembler.hpp"
 #include "os/guest_os.hpp"
 #include "os/machine.hpp"
@@ -44,19 +43,6 @@ inline std::string run_for_output(const std::string& source) {
   runner.load_source(source);
   runner.run();
   return runner.os().output();
-}
-
-/// The syscall schedule of `source`'s classic run on a default machine,
-/// recorded by FastForwardController::map_boundaries on a replay to the
-/// end: every syscall's classic commit cycle.  A FastSession armed with it
-/// runs each non-whitelisted syscall as an excursion at that cycle.
-inline exec::FastForwardController::SyscallSchedule classic_schedule(const std::string& source) {
-  SimRunner replay;
-  replay.load_source(source);
-  exec::FastForwardController::SyscallSchedule schedule;
-  exec::FastForwardController::map_boundaries(replay.os(), {replay.os().config().run_limit},
-                                              &schedule);
-  return schedule;
 }
 
 }  // namespace rse::testing

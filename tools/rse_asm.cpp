@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   std::stringstream buffer;
   buffer << file.rdbuf();
   std::string source = buffer.str();
-  if (instrument) source = workloads::instrument_checks(source, options);
 
   try {
+    if (instrument) source = workloads::instrument_checks(source, options);
     const isa::Program program = isa::assemble(source);
     std::cout << "; text: " << program.text.size() << " instructions at 0x" << std::hex
               << program.text_base << ", data: " << std::dec << program.data.size()
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         std::cout << ";   " << name << " = 0x" << std::hex << addr << std::dec << "\n";
       }
     }
-  } catch (const rse::SimError& error) {
+  } catch (const std::exception& error) {
     std::cerr << "rse_asm: " << error.what() << "\n";
     return 1;
   }

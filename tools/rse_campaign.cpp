@@ -29,7 +29,7 @@
 //                           forks from the latest snapshot before its
 //                           injection cycle (identical digest; overrides
 //                           --fast-forward)
-//     --snapshot-buckets n  snapshot-chain bucket count               (8)
+//     --snapshot-buckets n  snapshot-chain bucket count, 1..256          (8)
 //     --dme                 divergent multi-version execution: the campaign
 //                           runs layout-randomized under MLR seed A and every
 //                           run's canonical trace is diffed against a
@@ -48,7 +48,9 @@
 //                           straddles f with extra deterministic runs
 //     --ci-batch <n>        refinement batch size (0 = max(16, runs/2))
 //     --ci-max-runs <n>     refinement total-run cap (0 = 4 x runs)
-//     --describe <index>    print one run's injection point and exit
+//     --describe <index>    print one run's injection point and exit; the
+//                           index is below --runs (below the refinement
+//                           cap under --ci-threshold)
 //     --digest              print the deterministic digest instead of the
 //                           summary (for cross---jobs comparisons)
 #include <fstream>
@@ -141,7 +143,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot-fork") {
       spec.snapshot_fork = true;
     } else if (arg == "--snapshot-buckets") {
-      spec.snapshot_buckets = tools::uint_arg<u32>(arg, value());
+      spec.snapshot_buckets =
+          tools::uint_arg<u32>(arg, value(), 1, campaign::kMaxSnapshotBuckets);
     } else if (arg == "--dme") {
       spec.dme = true;
     } else if (arg == "--dme-seeds") {
@@ -190,6 +193,11 @@ int main(int argc, char** argv) {
     std::cerr << "--merge needs at least one shard report file\n";
     return usage();
   }
+  if (describe_index && *describe_index >= campaign::max_runs(spec)) {
+    // The campaign has no such run (its plan would still describe one).
+    tools::bad_value("--describe", std::to_string(*describe_index),
+                     "a run index below " + std::to_string(campaign::max_runs(spec)));
+  }
 
   try {
     campaign::CampaignRunner runner;
@@ -218,8 +226,7 @@ int main(int argc, char** argv) {
                   << " fallback (target " << ff.fallback_target << ", unmapped "
                   << ff.fallback_unmapped << ", conflict " << ff.fallback_conflict
                   << ", checked " << ff.fallback_checked
-                  << ", syscall " << ff.fallback_syscall << ", suspend "
-                  << ff.fallback_suspend << ", illegal " << ff.fallback_illegal
+                  << ", syscall " << ff.fallback_syscall << ", illegal " << ff.fallback_illegal
                   << ", other " << ff.fallback_other << ")\n";
       }
     }
@@ -243,7 +250,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-  } catch (const SimError& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

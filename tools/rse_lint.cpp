@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
                 << result.count(analysis::Severity::kWarning) << " warnings\n";
     }
     return result.has_errors() ? 1 : 0;
-  } catch (const SimError& error) {
+  } catch (const std::exception& error) {
     std::cerr << "rse_lint: " << error.what() << "\n";
     return 1;
   }

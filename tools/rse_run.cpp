@@ -13,7 +13,8 @@
 //                           when it leaves fast mode's envelope
 //                           (docs/execution.md)
 //     --limit <cycles>      run limit (default 2e9)
-//     --requests <n> --io <cycles>   simulated network parameters
+//     --requests <n> --io <cycles>   simulated network parameters; n is at
+//                           most 1000000 (0 keeps the default)
 //     --stats               print detailed machine statistics
 //     --trace <n>           print the first n committed instructions on
 //                           stderr: cycle, thread, pc and disassembly; with
@@ -64,6 +65,9 @@
 using namespace rse;
 
 namespace {
+
+// The simulated network holds one arrival time per request.
+constexpr u32 kMaxRequests = 1'000'000;
 
 int usage() {
   std::cerr << "usage: rse_run <program.s> [--rse] [--icm|--mlr|--ddt|--ahbm|--cfc]...\n"
@@ -171,7 +175,7 @@ int main(int argc, char** argv) {
     else if (arg == "--randomize") os_config.randomize_layout = true;
     else if (arg == "--rerand") os_config.rerandomize_interval = tools::uint_arg<Cycle>(arg, value());
     else if (arg == "--limit") os_config.run_limit = tools::uint_arg<Cycle>(arg, value());
-    else if (arg == "--requests") requests = tools::uint_arg<u32>(arg, value());
+    else if (arg == "--requests") requests = tools::uint_arg<u32>(arg, value(), 0, kMaxRequests);
     else if (arg == "--io") io_latency = tools::uint_arg<Cycle>(arg, value());
     else if (arg == "--stats") stats = true;
     else if (arg == "--trace") trace = tools::uint_arg<u64>(arg, value());
@@ -214,9 +218,9 @@ int main(int argc, char** argv) {
   std::stringstream buffer;
   buffer << file.rdbuf();
   std::string source = buffer.str();
-  if (instrument) source = workloads::instrument_checks(source);
 
   try {
+    if (instrument) source = workloads::instrument_checks(source);
     const isa::Program program = isa::assemble(source);
     // The lint gate analyses the configuration the run loads, so its result
     // is the one --static-cfc/--static-ddt install: load takes it as is.
@@ -310,7 +314,7 @@ int main(int argc, char** argv) {
     }
     if (stats) print_stats(machine, guest);
     return guest.exit_code();
-  } catch (const rse::SimError& error) {
+  } catch (const std::exception& error) {
     std::cerr << "rse_run: " << error.what() << "\n";
     return 1;
   }
