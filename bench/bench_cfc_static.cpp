@@ -31,26 +31,17 @@ struct ModeTally {
   void add(const campaign::RunResult& result, Cycle inject_cycle) {
     if (!result.fault_applied) return;
     ++injected;
-    switch (result.outcome) {
-      case campaign::Outcome::kDetectedCfc:
-        ++detected_cfc;
-        latency_sum += result.cycles > inject_cycle ? result.cycles - inject_cycle : 0;
-        break;
-      case campaign::Outcome::kDetectedIcm:
-      case campaign::Outcome::kDetectedDdt:
-      case campaign::Outcome::kDetectedSelfCheck:
-        ++detected_other;
-        break;
-      case campaign::Outcome::kSdc:
-        ++sdc;
-        break;
-      case campaign::Outcome::kMasked:
-        ++masked;
-        break;
-      case campaign::Outcome::kCrash:
-      case campaign::Outcome::kHang:
-        ++crash_hang;
-        break;
+    if (result.outcome == campaign::Outcome::kDetectedCfc) {
+      ++detected_cfc;
+      latency_sum += result.cycles > inject_cycle ? result.cycles - inject_cycle : 0;
+    } else if (campaign::is_detected(result.outcome)) {
+      ++detected_other;
+    } else if (result.outcome == campaign::Outcome::kSdc) {
+      ++sdc;
+    } else if (result.outcome == campaign::Outcome::kMasked) {
+      ++masked;
+    } else {
+      ++crash_hang;
     }
   }
 

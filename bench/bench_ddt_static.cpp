@@ -46,25 +46,16 @@ struct ModeTally {
   void add(const campaign::RunResult& result) {
     if (!result.fault_applied) return;
     ++injected;
-    switch (result.outcome) {
-      case campaign::Outcome::kDetectedDdt:
-        ++detected_ddt;
-        break;
-      case campaign::Outcome::kDetectedIcm:
-      case campaign::Outcome::kDetectedCfc:
-      case campaign::Outcome::kDetectedSelfCheck:
-        ++detected_other;
-        break;
-      case campaign::Outcome::kSdc:
-        ++sdc;
-        break;
-      case campaign::Outcome::kMasked:
-        ++masked;
-        break;
-      case campaign::Outcome::kCrash:
-      case campaign::Outcome::kHang:
-        ++crash_hang;
-        break;
+    if (result.outcome == campaign::Outcome::kDetectedDdt) {
+      ++detected_ddt;
+    } else if (campaign::is_detected(result.outcome)) {
+      ++detected_other;
+    } else if (result.outcome == campaign::Outcome::kSdc) {
+      ++sdc;
+    } else if (result.outcome == campaign::Outcome::kMasked) {
+      ++masked;
+    } else {
+      ++crash_hang;
     }
   }
 

@@ -88,42 +88,6 @@ void check_encodings(const isa::Program& p, const ControlFlowGraph& cfg, const E
   }
 }
 
-void check_stores(const isa::Program& p, const ControlFlowGraph& cfg, const Emitter& emit) {
-  // Per-block constant propagation over the assembler's materialization
-  // idioms (lui/ori, addi rs=r0): enough to resolve the `sw rt, label`
-  // pseudo-form without pretending to be a value analysis.
-  for (const BasicBlock& block : cfg.blocks) {
-    std::optional<u32> known[isa::kNumRegs];
-    known[0] = 0;
-    for (Addr pc = block.start; pc < block.end; pc += 4) {
-      const isa::Instr in = instr_at(p, pc);
-      if (in.op_class() == isa::OpClass::kStore) {
-        if (known[in.rs]) {
-          const Addr addr = *known[in.rs] + static_cast<u32>(in.imm);
-          if (addr >= p.text_base && addr < p.text_end()) {
-            emit(Severity::kError, DiagCode::kStoreToText, pc,
-                 isa::disassemble(in) + ": resolved store address " + hex(addr) +
-                     " lies inside the text segment");
-          }
-        }
-        continue;
-      }
-      const auto dest = in.dest_reg();
-      if (!dest) continue;
-      std::optional<u32> value;
-      if (in.op == isa::Op::kLui) {
-        value = static_cast<u32>(in.imm) << 16;
-      } else if (in.op == isa::Op::kOri && known[in.rs]) {
-        value = *known[in.rs] | (static_cast<u32>(in.imm) & 0xFFFFu);
-      } else if (in.op == isa::Op::kAddi && known[in.rs]) {
-        value = *known[in.rs] + static_cast<u32>(in.imm);
-      }
-      known[*dest] = value;
-      known[0] = 0;
-    }
-  }
-}
-
 /// chk_op values each module actually decodes; nullopt = the module accepts
 /// any op (the ICM treats every CHK addressed to it as "check the next
 /// instruction" regardless of the op field).
@@ -227,14 +191,23 @@ void check_footprint(const isa::Program& p, const PageFootprint& fp, const Emitt
       continue;
     }
     if (site.base == AddressBase::kAbsolute) {
-      const bool hits_data = has_data && site.hi >= static_cast<i64>(p.data_base) &&
-                             site.lo < static_cast<i64>(p.data_end());
-      const bool hits_text = site.hi >= static_cast<i64>(p.text_base) &&
-                             site.lo < static_cast<i64>(p.text_end());
-      if (!hits_data && !hits_text) {  // store-to-text reports the text case
+      const auto reaches = [&](Addr lo, Addr end) {
+        return site.hi >= static_cast<i64>(lo) && site.lo < static_cast<i64>(end);
+      };
+      const auto range = [&] {
+        return "[" + hex(static_cast<Addr>(site.lo)) + ", " + hex(static_cast<Addr>(site.hi)) +
+               "]";
+      };
+      if (reaches(p.text_base, p.text_end())) {
+        emit(Severity::kError, DiagCode::kStoreToText, site.pc,
+             isa::disassemble(instr_at(p, site.pc)) + ": resolved store " +
+                 (site.precision == AccessPrecision::kExact
+                      ? "address " + hex(static_cast<Addr>(site.lo)) + " lies inside"
+                      : "range " + range() + " reaches") +
+                 " the text segment");
+      } else if (!(has_data && reaches(p.data_base, p.data_end()))) {
         emit(Severity::kError, DiagCode::kStoreOutsideFootprint, site.pc,
-             "resolved store range [" + hex(static_cast<Addr>(site.lo)) + ", " +
-                 hex(static_cast<Addr>(site.hi)) + "] lies outside every mapped segment");
+             "resolved store range " + range() + " lies outside every mapped segment");
       }
     } else if (site.base == AddressBase::kStack && site.lo > kStackSlackBytes - 1) {
       emit(Severity::kError, DiagCode::kStoreOutsideFootprint, site.pc,
@@ -323,7 +296,6 @@ AnalysisResult analyze(const isa::Program& program, const AnalysisOptions& optio
   check_direct_targets(program, result.cfg, emit);
   check_fall_off_end(program, result.cfg, emit);
   check_encodings(program, result.cfg, emit);
-  check_stores(program, result.cfg, emit);
   check_chk(program, emit);
   check_unreachable(result.cfg, emit);
   check_protected_coverage(program, options, emit);

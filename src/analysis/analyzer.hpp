@@ -25,7 +25,8 @@ enum class DiagCode : u8 {
   kBranchTargetOutsideText,  // error: direct branch/jump/call leaves text
   kFallOffTextEnd,           // error: execution can run past text_end()
   kInvalidEncoding,          // error when reachable, warning otherwise
-  kStoreToText,              // error: resolvable store aimed at the text segment
+  kStoreToText,              // error: resolved footprint store site whose
+                             //        range reaches the text segment
   kChkUnknownModule,         // error: CHK module# has no module behind it
   kChkBadConfig,             // error: malformed imm12 (frame enable/disable of
                              //        a nonexistent module)

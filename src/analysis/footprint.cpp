@@ -347,37 +347,24 @@ void transfer(const isa::Instr& in, State& s, bool field) {
   s[0] = abs_const(0);
 }
 
-/// Caller-saved registers (clobbered across a call's fall-through edge).
-bool caller_saved(u8 reg) {
-  if (reg >= 1 && reg <= 15) return true;            // at, v0-v1, a0-a3, t0-t7
-  if (reg >= 24 && reg <= 27) return true;           // t8-t9, k0-k1
-  return reg == isa::kRa;
-}
-
-State clobber_call(const State& in) {
-  State out = in;
-  for (u8 r = 0; r < isa::kNumRegs; ++r) {
-    if (caller_saved(r)) out[r] = AbsVal{};
-  }
-  out[0] = abs_const(0);
-  return out;
-}
-
-u32 caller_saved_mask() {
-  u32 mask = 0;
-  for (u8 r = 1; r < isa::kNumRegs; ++r) {
-    if (caller_saved(r)) mask |= (1u << r);
-  }
-  return mask;
-}
+/// Caller-saved registers, clobbered across a call's fall-through edge: at,
+/// v0-v1, a0-a3, t0-t7 (r1-r15), t8-t9, k0-k1 (r24-r27) and ra.
+constexpr u32 kCallerSaved = 0x0000'FFFEu | 0x0F00'0000u | (1u << isa::kRa);
 
 /// Registers a call's fall-through may refine from a callee summary.  The
 /// flat model already assumes everything outside the caller-saved set is
 /// ABI-preserved, so summaries only ever *improve* on it for caller-saved
 /// registers — plus sp/gp, whose clobber bits the summary clears only under
 /// an arithmetic restore proof (see summarize_function).
-u32 refinable_mask() {
-  return caller_saved_mask() | (1u << isa::kSp) | (1u << isa::kGp);
+constexpr u32 kRefinable = kCallerSaved | (1u << isa::kSp) | (1u << isa::kGp);
+
+/// `s` with every register in `mask` Unknown (r0 stays 0).
+State clobber(State s, u32 mask) {
+  for (u8 r = 0; r < isa::kNumRegs; ++r) {
+    if (((mask >> r) & 1u) != 0) s[r] = AbsVal{};
+  }
+  s[0] = abs_const(0);
+  return s;
 }
 
 /// Syntactic register-write mask of one instruction (jal links ra, syscall
@@ -407,40 +394,6 @@ AbsVal rebase(const AbsVal& v, const AbsVal& sp_at_call, const AbsVal& gp_at_cal
       return AbsVal{};
   }
 }
-
-/// Internal parametric function summary (exported as FunctionSummary).
-/// Everything is relative to the function's own entry sp/gp.
-struct Summary {
-  Addr entry = 0;
-  bool summarized = false;
-  u32 clobbered = 0;  // see FunctionSummary::clobbered_regs
-  bool returns = false;
-  std::set<u32> pages;
-  std::set<u32> store_pages;
-  bool has_sp = false;
-  i64 sp_lo = 0;
-  i64 sp_hi = 0;
-  bool has_gp = false;
-  i64 gp_lo = 0;
-  i64 gp_hi = 0;
-  u32 unknown = 0;
-  // Joined v0/v1 over all return paths, vs. the entry sp/gp (Unknown when
-  // the function doesn't produce a trackable result).
-  AbsVal ret_v0;
-  AbsVal ret_v1;
-
-  bool operator==(const Summary& o) const {
-    return entry == o.entry && summarized == o.summarized &&
-           clobbered == o.clobbered && returns == o.returns &&
-           pages == o.pages && store_pages == o.store_pages &&
-           has_sp == o.has_sp && (!has_sp || (sp_lo == o.sp_lo && sp_hi == o.sp_hi)) &&
-           has_gp == o.has_gp && (!has_gp || (gp_lo == o.gp_lo && gp_hi == o.gp_hi)) &&
-           unknown == o.unknown && ret_v0 == o.ret_v0 && ret_v1 == o.ret_v1;
-  }
-  bool operator!=(const Summary& o) const { return !(*this == o); }
-};
-
-using SummaryMap = std::map<Addr, Summary>;
 
 /// Range refinement along a conditional-branch edge.  Only same-kind
 /// operands are comparable (Abs vs Abs, or same-base offsets where the base
@@ -549,37 +502,6 @@ void add_page_range(std::set<u32>& pages, Addr lo, Addr hi) {
   }
 }
 
-/// Strided page fold: pages touched by accesses of `size` bytes starting at
-/// {lo, lo+stride, ..., <= hi-size+1}.  For stride <= page size consecutive
-/// starts land on the same or adjacent pages, so the dense hull fold is
-/// already exact; only a stride wider than a page can skip pages, and then
-/// the element count is bounded by kMaxSpanBytes / kPageBytes (the span was
-/// capped in classify_site).  A degenerate stride (<= 0 from a demoted
-/// value) folds the dense hull — never under-approximates.
-void add_page_range_strided(std::set<u32>& pages, Addr lo, Addr hi, i64 stride,
-                            u32 size) {
-  if (stride <= static_cast<i64>(mem::kPageBytes)) {
-    add_page_range(pages, lo, hi);
-    return;
-  }
-  const i64 last = static_cast<i64>(hi) - static_cast<i64>(size) + 1;
-  for (i64 e = static_cast<i64>(lo); e <= last; e += stride) {
-    add_page_range(pages, static_cast<Addr>(e),
-                   static_cast<Addr>(e + static_cast<i64>(size) - 1));
-  }
-}
-
-void record_envelope(bool& has, i64& env_lo, i64& env_hi, i64 lo, i64 hi) {
-  if (!has) {
-    has = true;
-    env_lo = lo;
-    env_hi = hi;
-  } else {
-    env_lo = std::min(env_lo, lo);
-    env_hi = std::max(env_hi, hi);
-  }
-}
-
 /// Widening thresholds: the i32 constants the program can materialize
 /// (immediates plus li/la lui+ori expansions).  Loop bounds and data
 /// segment base addresses are exactly these, so jumping a growing bound to
@@ -666,6 +588,116 @@ SiteRange classify_site(const AbsVal& base, i64 imm, u32 size) {
   }
   return r;
 }
+
+/// Strided page fold of `r` read as absolute addresses: pages touched by
+/// accesses of r.size bytes starting at {lo, lo+stride, ..., <= hi-size+1}.
+/// For stride <= page size consecutive starts land on the same or adjacent
+/// pages, so the dense hull fold is already exact; only a stride wider than
+/// a page can skip pages, and then the element count is bounded by
+/// kMaxSpanBytes / kPageBytes (the span was capped in classify_site).  A
+/// degenerate stride (<= 0 from a demoted value) folds the dense hull —
+/// never under-approximates.
+void add_pages(std::set<u32>& pages, const SiteRange& r) {
+  if (r.stride <= static_cast<i64>(mem::kPageBytes)) {
+    add_page_range(pages, static_cast<Addr>(r.lo), static_cast<Addr>(r.hi));
+    return;
+  }
+  const i64 last = r.hi - static_cast<i64>(r.size) + 1;
+  for (i64 e = r.lo; e <= last; e += r.stride) {
+    add_page_range(pages, static_cast<Addr>(e),
+                   static_cast<Addr>(e + static_cast<i64>(r.size) - 1));
+  }
+}
+
+/// Hull of the offsets a set of base-relative ranges covers.
+struct Envelope {
+  bool has = false;
+  i64 lo = 0;
+  i64 hi = 0;
+
+  void add(i64 range_lo, i64 range_hi) {
+    lo = has ? std::min(lo, range_lo) : range_lo;
+    hi = has ? std::max(hi, range_hi) : range_hi;
+    has = true;
+  }
+  bool operator==(const Envelope&) const = default;
+};
+
+/// What a set of classified ranges touches: absolute pages, the subset
+/// stored to, and the envelopes of the sp- and gp-relative ranges.  The one
+/// fold behind the site list, the function footprints and the summaries.
+struct Touched {
+  std::set<u32> pages;
+  std::set<u32> store_pages;
+  Envelope sp;
+  Envelope gp;
+
+  /// Folds `r` in; false when it is unresolved (nothing to fold).
+  bool add(const SiteRange& r, bool store) {
+    switch (r.base) {
+      case AddressBase::kAbsolute:
+        add_pages(pages, r);
+        if (store) add_pages(store_pages, r);
+        return true;
+      case AddressBase::kStack:
+        sp.add(r.lo, r.hi);
+        return true;
+      case AddressBase::kGlobal:
+        gp.add(r.lo, r.hi);
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// Writes the fold into an exported PageFootprint, FunctionFootprint or
+  /// FunctionSummary: sorted page vectors, plus the envelopes where the
+  /// type carries them.
+  template <class Out>
+  void export_to(Out& out) const {
+    out.pages.assign(pages.begin(), pages.end());
+    out.store_pages.assign(store_pages.begin(), store_pages.end());
+    if constexpr (requires { out.has_sp_range; }) {
+      out.has_sp_range = sp.has;
+      out.sp_lo = sp.lo;
+      out.sp_hi = sp.hi;
+      out.has_gp_range = gp.has;
+      out.gp_lo = gp.lo;
+      out.gp_hi = gp.hi;
+    }
+  }
+
+  bool operator==(const Touched&) const = default;
+};
+
+/// Counts one site into a PageFootprint's or FunctionFootprint's tally.
+template <class Out>
+void count_site(Out& out, AccessPrecision precision) {
+  switch (precision) {
+    case AccessPrecision::kExact: out.exact_sites += 1; break;
+    case AccessPrecision::kOver: out.over_sites += 1; break;
+    case AccessPrecision::kUnknown: out.unknown_sites += 1; break;
+  }
+}
+
+/// Internal parametric function summary (exported as FunctionSummary).
+/// Everything is relative to the function's own entry sp/gp.
+struct Summary {
+  Addr entry = 0;
+  bool summarized = false;
+  u32 clobbered = 0;  // see FunctionSummary::clobbered_regs
+  bool returns = false;
+  Touched touched;
+  u32 unknown = 0;
+  // Joined v0/v1 over all return paths, vs. the entry sp/gp (Unknown when
+  // the function doesn't produce a trackable result).
+  AbsVal ret_v0;
+  AbsVal ret_v1;
+
+  bool operator==(const Summary&) const = default;
+};
+
+using SummaryMap = std::map<Addr, Summary>;
 
 /// Per-block induction pass (field mode): which registers the program ever
 /// advances by a loop-carried step, and by how much.  `addi r, r, imm`
@@ -849,16 +881,11 @@ struct FixpointPass {
   /// call's link register (ra for jal, rd for jalr).
   State call_fallthrough(const State& at_call, const std::vector<Addr>& targets,
                          Addr ret, u8 link) const {
-    if (!all_summarized(targets)) return clobber_call(at_call);
+    if (!all_summarized(targets)) return clobber(at_call, kCallerSaved);
     u32 clob = 0;
     for (Addr t : targets) clob |= summary_of(t)->clobbered;
-    State next = at_call;
-    const u32 refinable = refinable_mask();
-    for (u8 r = 1; r < isa::kNumRegs; ++r) {
-      const u32 bit = 1u << r;
-      if ((refinable & bit) == 0) continue;  // ABI-preserved, as in flat mode
-      if ((clob & bit) != 0) next[r] = AbsVal{};
-    }
+    // Registers outside kRefinable are ABI-preserved, as in flat mode.
+    State next = clobber(at_call, clob & kRefinable);
     // The call wrote the return address into `link`; candidates that
     // provably never touch it leave it holding that constant.
     if (link != 0 && (clob & (1u << link)) == 0) {
@@ -880,7 +907,6 @@ struct FixpointPass {
       }
       next[v] = joined;
     }
-    next[0] = abs_const(0);
     return next;
   }
 
@@ -1054,27 +1080,10 @@ struct FixpointPass {
     enqueue(ctx, i);
   }
 
+  /// Runs the fixpoint from `root`; once per pass object.
   void run(Addr root, const State& root_in) {
-    const size_t n = cfg.blocks.size();
-    contexts.clear();
-    context_index.clear();
-    contexts_cloned = 0;
-    context_fallbacks = 0;
-    spawn_contexts = 0;
-    sp_contexts = 0;
-    in_state.clear();
-    has_state.clear();
-    visits.clear();
-    queued.clear();
-    strikes.clear();
-    contexts.push_back(CtxInfo{});  // the joined context 0
-    in_state.emplace_back(n);
-    has_state.emplace_back(n, false);
-    visits.emplace_back(n, 0);
-    queued.emplace_back(n, false);
-    strikes.emplace_back(n);
-    in_degree.assign(n, 0);
-    left_region = false;
+    new_context(0, ArgTuple{}, 0, 0, -1);  // the joined context 0
+    in_degree.assign(cfg.blocks.size(), 0);
 
     // In-edge counts feed the widening criterion.  This mirrors step()'s
     // propagation targets (over-counting is harmless — it only adds
@@ -1266,38 +1275,20 @@ Summary summarize_function(const isa::Program& program,
     }
   }
 
-  const u32 cs_mask = caller_saved_mask();
   bool sp_restored = true;
   bool gp_restored = true;
   bool first_return = true;
 
-  auto instantiate_envelope = [&](bool has, i64 elo, i64 ehi,
-                                  const AbsVal& base) {
-    if (!has) return;
-    if (base.kind == Kind::kUnknown) {
-      sum.unknown += 1;
-      return;
-    }
-    const i64 rlo = base.lo + elo;
-    const i64 rhi = base.hi + ehi;
-    if (rhi - rlo > kMaxSpanBytes || rlo < kMinVal || rhi > kMaxVal ||
-        (base.kind == Kind::kAbs && rlo < 0)) {
-      sum.unknown += 1;
-      return;
-    }
-    switch (base.kind) {
-      case Kind::kAbs:
-        add_page_range(sum.pages, static_cast<Addr>(rlo), static_cast<Addr>(rhi));
-        break;
-      case Kind::kSp:
-        record_envelope(sum.has_sp, sum.sp_lo, sum.sp_hi, rlo, rhi);
-        break;
-      case Kind::kGp:
-        record_envelope(sum.has_gp, sum.gp_lo, sum.gp_hi, rlo, rhi);
-        break;
-      default:
-        break;
-    }
+  // A callee envelope folds in as one dense range at the caller's sp/gp
+  // value; one wider than kMaxSpanBytes stays unknown.
+  auto instantiate = [&](const Envelope& env, const AbsVal& base) {
+    if (!env.has) return;
+    const SiteRange r =
+        env.hi - env.lo > kMaxSpanBytes
+            ? SiteRange{}
+            : classify_site(make(base.kind, base.lo, base.hi), env.lo,
+                            static_cast<u32>(env.hi - env.lo + 1));
+    if (!sum.touched.add(r, /*store=*/false)) sum.unknown += 1;
   };
 
   for (const BasicBlock& block : cfg.blocks) {
@@ -1307,25 +1298,9 @@ Summary summarize_function(const isa::Program& program,
     for (Addr pc = block.start; pc < block.end; pc += 4) {
       const isa::Instr in = isa::decode(program.text_word(pc));
       if (const u32 size = isa::access_size(in.op); size != 0) {
-        const SiteRange r = classify_site(s[in.rs], in.imm, size);
-        switch (r.base) {
-          case AddressBase::kAbsolute:
-            add_page_range_strided(sum.pages, static_cast<Addr>(r.lo),
-                                   static_cast<Addr>(r.hi), r.stride, r.size);
-            if (in.op_class() == isa::OpClass::kStore) {
-              add_page_range_strided(sum.store_pages, static_cast<Addr>(r.lo),
-                                     static_cast<Addr>(r.hi), r.stride, r.size);
-            }
-            break;
-          case AddressBase::kStack:
-            record_envelope(sum.has_sp, sum.sp_lo, sum.sp_hi, r.lo, r.hi);
-            break;
-          case AddressBase::kGlobal:
-            record_envelope(sum.has_gp, sum.gp_lo, sum.gp_hi, r.lo, r.hi);
-            break;
-          default:
-            sum.unknown += 1;
-            break;
+        const bool store = in.op_class() == isa::OpClass::kStore;
+        if (!sum.touched.add(classify_site(s[in.rs], in.imm, size), store)) {
+          sum.unknown += 1;
         }
       }
       if (pc + 4 < block.end) transfer(in, s, field);
@@ -1341,14 +1316,14 @@ Summary summarize_function(const isa::Program& program,
         // Unresolved indirect call: flat model (full caller-saved clobber,
         // footprint unknown, assumed to return).
         sum.unknown += 1;
-        sum.clobbered |= cs_mask;
+        sum.clobbered |= kCallerSaved;
       }
       for (Addr t : block.successors) {
         const auto it = summaries.find(t);
         const Summary* c = (it == summaries.end()) ? nullptr : &it->second;
         if (c == nullptr || !c->summarized) {
           sum.unknown += 1;
-          sum.clobbered |= cs_mask;
+          sum.clobbered |= kCallerSaved;
           continue;
         }
         // Instantiate: pages carry over, envelopes rebase by this call
@@ -1356,10 +1331,11 @@ Summary summarize_function(const isa::Program& program,
         // transitive.
         sum.clobbered |= c->clobbered;
         sum.unknown += c->unknown;
-        sum.pages.insert(c->pages.begin(), c->pages.end());
-        sum.store_pages.insert(c->store_pages.begin(), c->store_pages.end());
-        instantiate_envelope(c->has_sp, c->sp_lo, c->sp_hi, s[isa::kSp]);
-        instantiate_envelope(c->has_gp, c->gp_lo, c->gp_hi, s[isa::kGp]);
+        sum.touched.pages.insert(c->touched.pages.begin(), c->touched.pages.end());
+        sum.touched.store_pages.insert(c->touched.store_pages.begin(),
+                                       c->touched.store_pages.end());
+        instantiate(c->touched.sp, s[isa::kSp]);
+        instantiate(c->touched.gp, s[isa::kGp]);
       }
     }
     if (block.exit == BlockExit::kReturn) {
@@ -1422,13 +1398,11 @@ SummaryMap compute_summaries(const isa::Program& program,
     summaries.emplace(rlo, std::move(bottom));
   }
 
+  // Per function, how often its sp envelope, gp envelope and return values
+  // moved; past kMaxComponentMoves the component is dropped for good.
   constexpr u32 kMaxComponentMoves = 3;
-  std::map<Addr, u32> sp_moves;
-  std::map<Addr, u32> gp_moves;
-  std::map<Addr, u32> ret_moves;
-  std::set<Addr> sp_dropped;
-  std::set<Addr> gp_dropped;
-  std::set<Addr> ret_dropped;
+  constexpr std::array<Envelope Touched::*, 2> kEnvelopes = {&Touched::sp, &Touched::gp};
+  std::map<Addr, std::array<u32, 3>> moves;
   // A summary that keeps changing after its envelope/return components were
   // already dropped is feeding on itself through a recursion cycle (e.g. its
   // unknown-site count grows by its own previous value every round).  Pin
@@ -1455,40 +1429,21 @@ SummaryMap compute_summaries(const isa::Program& program,
       Summary next = summarize_function(program, cfg, it->lo, it->hi,
                                         summaries, thresholds, field, induction);
       if (next.summarized) {
-        if (sp_dropped.count(it->lo) != 0 && next.has_sp) {
-          next.has_sp = false;
-          next.unknown += 1;
+        std::array<u32, 3>& moved = moves[it->lo];
+        for (size_t k = 0; k < kEnvelopes.size(); ++k) {
+          Envelope& env = next.touched.*kEnvelopes[k];
+          if (env.has && (moved[k] > kMaxComponentMoves ||
+                          (env != cur.touched.*kEnvelopes[k] &&
+                           ++moved[k] > kMaxComponentMoves))) {
+            env = {};
+            next.unknown += 1;
+          }
         }
-        if (gp_dropped.count(it->lo) != 0 && next.has_gp) {
-          next.has_gp = false;
-          next.unknown += 1;
-        }
-        if (ret_dropped.count(it->lo) != 0) {
+        if (moved[2] > kMaxComponentMoves ||
+            ((next.ret_v0 != cur.ret_v0 || next.ret_v1 != cur.ret_v1) &&
+             ++moved[2] > kMaxComponentMoves)) {
           next.ret_v0 = AbsVal{};
           next.ret_v1 = AbsVal{};
-        }
-        if (next.has_sp &&
-            (!cur.has_sp || next.sp_lo != cur.sp_lo || next.sp_hi != cur.sp_hi)) {
-          if (++sp_moves[it->lo] > kMaxComponentMoves) {
-            sp_dropped.insert(it->lo);
-            next.has_sp = false;
-            next.unknown += 1;
-          }
-        }
-        if (next.has_gp &&
-            (!cur.has_gp || next.gp_lo != cur.gp_lo || next.gp_hi != cur.gp_hi)) {
-          if (++gp_moves[it->lo] > kMaxComponentMoves) {
-            gp_dropped.insert(it->lo);
-            next.has_gp = false;
-            next.unknown += 1;
-          }
-        }
-        if (!(next.ret_v0 == cur.ret_v0) || !(next.ret_v1 == cur.ret_v1)) {
-          if (++ret_moves[it->lo] > kMaxComponentMoves) {
-            ret_dropped.insert(it->lo);
-            next.ret_v0 = AbsVal{};
-            next.ret_v1 = AbsVal{};
-          }
         }
       }
       if (next != cur) {
@@ -1686,14 +1641,8 @@ PageFootprint compute_footprint(const isa::Program& program,
   fp.sp_contexts = pass->sp_contexts;
 
   // --- Collect access sites from reachable blocks. --------------------
-  std::set<u32> pages;
-  std::set<u32> store_pages;
-  struct FnAcc {
-    std::set<u32> pages;
-    std::set<u32> store_pages;
-    u32 exact = 0, over = 0, unknown = 0;
-  };
-  std::map<Addr, FnAcc> fn_acc;
+  Touched touched;
+  std::map<Addr, std::pair<FunctionFootprint, Touched>> functions;  // by entry
   std::vector<PageFootprint::SitePages> ctx_pages;
 
   const size_t nctx = pass->contexts.size();
@@ -1716,6 +1665,7 @@ PageFootprint compute_footprint(const isa::Program& program,
       const isa::Instr in = isa::decode(program.text_word(pc));
       if (const u32 size = isa::access_size(in.op); size != 0) {
         const bool store = in.op_class() == isa::OpClass::kStore;
+        auto& [fn, fn_touched] = functions[function_of(pc)];
         AccessSite site;
         site.pc = pc;
         site.is_store = store;
@@ -1773,50 +1723,19 @@ PageFootprint compute_footprint(const isa::Program& program,
             site.base = AddressBase::kUnknown;
             site.precision = AccessPrecision::kOver;
           }
-          FnAcc& fn = fn_acc[function_of(pc)];
           std::set<u32> pc_page_set;
           bool expressible = true;  // per-pc table can carry every component
           for (const SiteRange& r : ranges) {
-            switch (r.base) {
-              case AddressBase::kAbsolute:
-                add_page_range_strided(pages, static_cast<Addr>(r.lo),
-                                       static_cast<Addr>(r.hi), r.stride,
-                                       r.size);
-                add_page_range_strided(fn.pages, static_cast<Addr>(r.lo),
-                                       static_cast<Addr>(r.hi), r.stride,
-                                       r.size);
-                if (store) {
-                  add_page_range_strided(store_pages, static_cast<Addr>(r.lo),
-                                         static_cast<Addr>(r.hi), r.stride,
-                                         r.size);
-                  add_page_range_strided(fn.store_pages,
-                                         static_cast<Addr>(r.lo),
-                                         static_cast<Addr>(r.hi), r.stride,
-                                         r.size);
-                }
-                add_page_range_strided(pc_page_set, static_cast<Addr>(r.lo),
-                                       static_cast<Addr>(r.hi), r.stride,
-                                       r.size);
-                break;
-              case AddressBase::kStack:
-                record_envelope(fp.has_sp_range, fp.sp_lo, fp.sp_hi, r.lo,
-                                r.hi);
-                // Covered per-pc by the runtime-registered stack pages.
-                break;
-              case AddressBase::kGlobal:
-                record_envelope(fp.has_gp_range, fp.gp_lo, fp.gp_hi, r.lo,
-                                r.hi);
-                if (r.lo >= 0) {
-                  // Folds at the initial gp = 0, the loader convention.
-                  add_page_range_strided(pc_page_set, static_cast<Addr>(r.lo),
-                                         static_cast<Addr>(r.hi), r.stride,
-                                         r.size);
-                } else {
-                  expressible = false;
-                }
-                break;
-              default:
-                break;
+            touched.add(r, store);
+            fn_touched.add(r, store);
+            // The per-pc table holds the absolute ranges and the gp-relative
+            // ones folded at the initial gp = 0, the loader convention; the
+            // runtime-registered stack pages cover the stack ones.
+            if (r.base == AddressBase::kAbsolute ||
+                (r.base == AddressBase::kGlobal && r.lo >= 0)) {
+              add_pages(pc_page_set, r);
+            } else if (r.base == AddressBase::kGlobal) {
+              expressible = false;
             }
           }
           // Emit a per-pc entry when it is strictly tighter than what the
@@ -1843,21 +1762,8 @@ PageFootprint compute_footprint(const isa::Program& program,
           }
         }
 
-        FnAcc& fn = fn_acc[function_of(pc)];
-        switch (site.precision) {
-          case AccessPrecision::kExact:
-            fp.exact_sites += 1;
-            fn.exact += 1;
-            break;
-          case AccessPrecision::kOver:
-            fp.over_sites += 1;
-            fn.over += 1;
-            break;
-          case AccessPrecision::kUnknown:
-            fp.unknown_sites += 1;
-            fn.unknown += 1;
-            break;
-        }
+        count_site(fp, site.precision);
+        count_site(fn, site.precision);
         fp.sites.push_back(site);
       }
       if (pc + 4 < block.end) {
@@ -1866,16 +1772,11 @@ PageFootprint compute_footprint(const isa::Program& program,
     }
   }
 
-  fp.pages.assign(pages.begin(), pages.end());
-  fp.store_pages.assign(store_pages.begin(), store_pages.end());
-  for (auto& [entry, acc] : fn_acc) {
-    FunctionFootprint fn;
+  touched.export_to(fp);
+  for (auto& [entry, acc] : functions) {
+    auto& [fn, fn_touched] = acc;
     fn.entry = entry;
-    fn.pages.assign(acc.pages.begin(), acc.pages.end());
-    fn.store_pages.assign(acc.store_pages.begin(), acc.store_pages.end());
-    fn.exact_sites = acc.exact;
-    fn.over_sites = acc.over;
-    fn.unknown_sites = acc.unknown;
+    fn_touched.export_to(fn);
     fp.functions.push_back(std::move(fn));
   }
   std::sort(fp.sites.begin(), fp.sites.end(),
@@ -1891,14 +1792,7 @@ PageFootprint compute_footprint(const isa::Program& program,
     out.summarized = sum.summarized;
     out.clobbered_regs = sum.clobbered;
     out.returns = sum.returns;
-    out.pages.assign(sum.pages.begin(), sum.pages.end());
-    out.store_pages.assign(sum.store_pages.begin(), sum.store_pages.end());
-    out.has_sp_range = sum.has_sp;
-    out.sp_lo = sum.sp_lo;
-    out.sp_hi = sum.sp_hi;
-    out.has_gp_range = sum.has_gp;
-    out.gp_lo = sum.gp_lo;
-    out.gp_hi = sum.gp_hi;
+    sum.touched.export_to(out);
     out.unknown_sites = sum.unknown;
     fp.summaries.push_back(std::move(out));
   }

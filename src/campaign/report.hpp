@@ -30,9 +30,14 @@ struct RunResult {
 /// about 443 KB, so the bound keeps a chain's memory in the 100 MB range.
 inline constexpr u32 kMaxSnapshotBuckets = 256;
 
+/// The largest campaign, planned or refined.  A campaign preallocates one
+/// result per run, so an unbounded count exhausts memory before the first
+/// run; no caller builds a larger one (perfbench clamps to the same bound).
+inline constexpr u32 kMaxRuns = 1'000'000;
+
 struct CampaignSpec {
   std::string workload = "kmeans";
-  u32 runs = 256;
+  u32 runs = 256;  // in [1, kMaxRuns]
   u64 seed = 1;
   u32 jobs = 1;  // 0 = std::thread::hardware_concurrency()
   double hang_factor = 8.0;  // cycle budget = golden cycles x this
@@ -101,7 +106,7 @@ struct CampaignSpec {
   /// with sharding.
   double ci_threshold = 0.0;
   u32 ci_batch = 0;     // runs per refinement round (0 = max(16, runs/2))
-  u32 ci_max_runs = 0;  // total-run cap (0 = 4 * runs)
+  u32 ci_max_runs = 0;  // total-run cap in [0, kMaxRuns] (0 = 4 * runs)
   /// Injection-cycle window as fractions of the golden run's cycle count,
   /// drawn inclusively.  The default [0, 1] reproduces the historical
   /// full-range plan bit-for-bit (see InjectionSpace::window_lo).  Part of

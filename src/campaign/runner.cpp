@@ -55,8 +55,9 @@ void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run)
 
 u32 max_runs(const CampaignSpec& spec) {
   if (spec.ci_threshold <= 0.0) return spec.runs;
-  const u64 cap = spec.ci_max_runs != 0 ? spec.ci_max_runs : u64{4} * spec.runs;
-  return static_cast<u32>(std::clamp<u64>(cap, spec.runs, UINT32_MAX));
+  const u64 cap = spec.ci_max_runs != 0 ? spec.ci_max_runs
+                                        : std::min<u64>(u64{4} * spec.runs, kMaxRuns);
+  return static_cast<u32>(std::max<u64>(cap, spec.runs));
 }
 
 CampaignRunner::CampaignRunner(GoldenCache* cache)
@@ -404,7 +405,11 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
 }
 
 CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
-  if (spec.runs == 0) throw ConfigError("campaign needs at least one run");
+  if (spec.runs == 0 || spec.runs > kMaxRuns || spec.ci_max_runs > kMaxRuns) {
+    const std::string max = std::to_string(kMaxRuns);
+    throw ConfigError("campaign runs must lie in [1, " + max + "] and the refinement cap in [0, " +
+                      max + "]");
+  }
   if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
     throw ConfigError("campaign shard index out of range");
   }

@@ -72,7 +72,8 @@ void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run)
 u64 commit_records(os::Machine& machine, const os::GuestOs& guest);
 
 /// How many plan indices a campaign of `spec` may execute: spec.runs, or
-/// under CI refinement its cap (ci_max_runs; by default 4 x runs).
+/// under CI refinement its cap (ci_max_runs; by default 4 x runs, at most
+/// kMaxRuns).
 u32 max_runs(const CampaignSpec& spec);
 
 class CampaignRunner {

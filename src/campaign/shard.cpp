@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "campaign/workload.hpp"
 #include "common/error.hpp"
 
 namespace rse::campaign {
@@ -110,9 +111,13 @@ CampaignReport parse_shard_report(const std::string& text) {
   CampaignSpec spec;
   {
     std::istringstream ls = expect_line(in, "workload");
-    // Rest of line, so workload names are not constrained to one token.
+    // Rest of line, so workload names are not constrained to one token; a
+    // name the workload table lacks is no campaign this tool ran.
     std::getline(ls >> std::ws, spec.workload);
-    if (spec.workload.empty()) malformed("empty workload");
+    const std::vector<std::string> names = workload_names();
+    if (std::find(names.begin(), names.end(), spec.workload) == names.end()) {
+      malformed("unknown workload '" + spec.workload + "'");
+    }
   }
   spec.runs = expect_value<u32>(in, "runs");
   spec.seed = expect_value<u64>(in, "seed");

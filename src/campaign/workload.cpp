@@ -1,5 +1,7 @@
 #include "campaign/workload.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "workloads/workloads.hpp"
 
@@ -185,80 +187,95 @@ WorkloadSetup base_setup(std::string name, std::string source) {
   return w;
 }
 
+WorkloadSetup with_ddt(WorkloadSetup w) {
+  w.host_enables.push_back(isa::ModuleId::kDdt);
+  return w;
+}
+
+WorkloadSetup heap_spray(std::string name, bool wild) {
+  workloads::HeapSprayParams params;
+  params.wild = wild;
+  WorkloadSetup w = base_setup(std::move(name), workloads::heap_spray_source(params));
+  // Small entropy keeps the wild store inside the arena for *every* MLR
+  // seed — the scenario only DME can see (workloads.hpp).
+  w.machine.mlr.entropy_pages = 4;
+  return w;
+}
+
+using Builder = WorkloadSetup (*)(std::string name);
+
+/// Every campaign workload, in listing order, with how to build it: the one
+/// list behind make_workload and workload_names.
+constexpr std::pair<const char*, Builder> kWorkloads[] = {
+    {"loop", [](std::string name) { return base_setup(std::move(name), kLoopProgram); }},
+    {"calls", [](std::string name) { return base_setup(std::move(name), kCallsProgram); }},
+    {"args",
+     [](std::string name) { return with_ddt(base_setup(std::move(name), kArgsProgram)); }},
+    {"stride",
+     [](std::string name) {
+       return with_ddt(base_setup(std::move(name), workloads::stride_source({})));
+     }},
+    {"kmeans",
+     [](std::string name) {
+       workloads::KMeansParams params;
+       params.patterns = 40;
+       params.clusters = 4;
+       params.iters = 2;
+       return base_setup(std::move(name), workloads::kmeans_source(params));
+     }},
+    {"kmeans-large",
+     [](std::string name) { return base_setup(std::move(name), workloads::kmeans_source({})); }},
+    {"server",
+     [](std::string name) {
+       workloads::ServerParams params;
+       params.threads = 4;
+       params.compute_iters = 200;
+       params.io_phases = 2;
+       params.enable_ddt = true;
+       return with_ddt(base_setup(std::move(name), workloads::server_source(params)));
+     }},
+    // Security attack corpus (docs/security.md): guests that attack
+    // themselves, each with a benign twin performing the same writes legally.
+    {"attack-stack",
+     [](std::string name) {
+       return base_setup(std::move(name), workloads::stack_smash_source({}));
+     }},
+    {"benign-stack",
+     [](std::string name) {
+       workloads::StackSmashParams params;
+       params.payload_offset = 8;  // unused scratch slot instead of the saved ra
+       return base_setup(std::move(name), workloads::stack_smash_source(params));
+     }},
+    {"attack-got",
+     [](std::string name) {
+       return base_setup(std::move(name), workloads::got_overwrite_source({}));
+     }},
+    {"benign-got",
+     [](std::string name) {
+       workloads::GotOverwriteParams params;
+       params.wild = false;
+       return base_setup(std::move(name), workloads::got_overwrite_source(params));
+     }},
+    {"attack-heap", [](std::string name) { return heap_spray(std::move(name), true); }},
+    {"benign-heap", [](std::string name) { return heap_spray(std::move(name), false); }},
+    {"attack-chk",
+     [](std::string name) {
+       return base_setup(std::move(name), workloads::chk_bypass_source({}));
+     }},
+    {"benign-chk",
+     [](std::string name) {
+       workloads::ChkBypassParams params;
+       params.bypass = false;
+       params.hostile_patch = false;
+       return base_setup(std::move(name), workloads::chk_bypass_source(params));
+     }},
+};
+
 }  // namespace
 
 WorkloadSetup make_workload(const std::string& name) {
-  if (name == "loop") {
-    return base_setup(name, kLoopProgram);
-  }
-  if (name == "calls") {
-    return base_setup(name, kCallsProgram);
-  }
-  if (name == "args") {
-    WorkloadSetup w = base_setup(name, kArgsProgram);
-    w.host_enables.push_back(isa::ModuleId::kDdt);
-    return w;
-  }
-  if (name == "stride") {
-    WorkloadSetup w = base_setup(name, workloads::stride_source({}));
-    w.host_enables.push_back(isa::ModuleId::kDdt);
-    return w;
-  }
-  if (name == "kmeans") {
-    workloads::KMeansParams params;
-    params.patterns = 40;
-    params.clusters = 4;
-    params.iters = 2;
-    return base_setup(name, workloads::kmeans_source(params));
-  }
-  if (name == "kmeans-large") {
-    return base_setup(name, workloads::kmeans_source({}));
-  }
-  // Security attack corpus (docs/security.md): guests that attack
-  // themselves, each with a benign twin performing the same writes legally.
-  if (name == "attack-stack") {
-    return base_setup(name, workloads::stack_smash_source({}));
-  }
-  if (name == "benign-stack") {
-    workloads::StackSmashParams params;
-    params.payload_offset = 8;  // unused scratch slot instead of the saved ra
-    return base_setup(name, workloads::stack_smash_source(params));
-  }
-  if (name == "attack-got") {
-    return base_setup(name, workloads::got_overwrite_source({}));
-  }
-  if (name == "benign-got") {
-    workloads::GotOverwriteParams params;
-    params.wild = false;
-    return base_setup(name, workloads::got_overwrite_source(params));
-  }
-  if (name == "attack-heap" || name == "benign-heap") {
-    workloads::HeapSprayParams params;
-    params.wild = name == "attack-heap";
-    WorkloadSetup w = base_setup(name, workloads::heap_spray_source(params));
-    // Small entropy keeps the wild store inside the arena for *every* MLR
-    // seed — the scenario only DME can see (workloads.hpp).
-    w.machine.mlr.entropy_pages = 4;
-    return w;
-  }
-  if (name == "attack-chk") {
-    return base_setup(name, workloads::chk_bypass_source({}));
-  }
-  if (name == "benign-chk") {
-    workloads::ChkBypassParams params;
-    params.bypass = false;
-    params.hostile_patch = false;
-    return base_setup(name, workloads::chk_bypass_source(params));
-  }
-  if (name == "server") {
-    workloads::ServerParams params;
-    params.threads = 4;
-    params.compute_iters = 200;
-    params.io_phases = 2;
-    params.enable_ddt = true;
-    WorkloadSetup w = base_setup(name, workloads::server_source(params));
-    w.host_enables.push_back(isa::ModuleId::kDdt);
-    return w;
+  for (const auto& [known, build] : kWorkloads) {
+    if (name == known) return build(name);
   }
   throw ConfigError("unknown campaign workload: " + name);
 }
@@ -276,10 +293,9 @@ BootedGuest::BootedGuest(const WorkloadSetup& setup, const isa::Program& program
 }
 
 std::vector<std::string> workload_names() {
-  return {"loop",        "calls",      "args",       "stride",      "kmeans",
-          "kmeans-large", "server",     "attack-stack", "benign-stack",
-          "attack-got",   "benign-got", "attack-heap",  "benign-heap",
-          "attack-chk",   "benign-chk"};
+  std::vector<std::string> names;
+  for (const auto& entry : kWorkloads) names.emplace_back(entry.first);
+  return names;
 }
 
 }  // namespace rse::campaign

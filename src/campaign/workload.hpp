@@ -47,6 +47,7 @@ struct BootedGuest {
 /// Throws ConfigError on an unknown name.
 WorkloadSetup make_workload(const std::string& name);
 
+/// Every name make_workload builds, in listing order (one table backs both).
 std::vector<std::string> workload_names();
 
 }  // namespace rse::campaign

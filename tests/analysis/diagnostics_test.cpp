@@ -145,6 +145,70 @@ main:
   EXPECT_EQ(count_code(result, DiagCode::kStoreToText), 0u);
 }
 
+TEST(DiagnosticsTest, StoreToTextResolvedAcrossBlocks) {
+  // The text address is loaded one block before the store: the data-flow
+  // footprint carries it across the branch.
+  const isa::Program program = isa::assemble(R"(
+.text
+main:
+  la t0, main
+  beq t1, zero, store
+store:
+  sw t1, 8(t0)
+  li a0, 0
+  li v0, 1
+  syscall
+)");
+  const AnalysisResult result = analyze(program);
+  const Diagnostic* d = find_code(result, DiagCode::kStoreToText);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_EQ(d->addr, program.symbol("store"));
+  EXPECT_EQ(d->message,
+            "sw r9, 8(r8): resolved store address 0x00400008 lies inside the text segment");
+}
+
+TEST(DiagnosticsTest, StoreToTextPrintsAResolvedRange) {
+  // t0 = main + [0, 12]: an over-approximate site whose range reaches text.
+  const AnalysisResult result = analyze(isa::assemble(R"(
+.text
+main:
+  la t0, main
+  andi t2, t1, 12
+  add t0, t0, t2
+  sw t1, 0(t0)
+  li a0, 0
+  li v0, 1
+  syscall
+)"));
+  const Diagnostic* d = find_code(result, DiagCode::kStoreToText);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->message,
+            "sw r9, 0(r8): resolved store range [0x00400000, 0x0040000f] reaches the text "
+            "segment");
+}
+
+TEST(DiagnosticsTest, StoreToTextFollowsTheFootprintsLiveness) {
+  // The store sits after an exit syscall.  At context depth 1 or more the
+  // footprint proves that edge infeasible, so the store is dead and not
+  // reported; at depth 0 the edge stays and so does the error.
+  const isa::Program program = isa::assemble(R"(
+.text
+main:
+  li a0, 0
+  li v0, 1
+  syscall
+  la t0, main
+  sw t1, 0(t0)
+  li v0, 1
+  syscall
+)");
+  EXPECT_EQ(count_code(analyze(program), DiagCode::kStoreToText), 0u);
+  AnalysisOptions depth0;
+  depth0.context_depth = 0;
+  EXPECT_EQ(count_code(analyze(program, depth0), DiagCode::kStoreToText), 1u);
+}
+
 TEST(DiagnosticsTest, ChkUnknownModuleIsError) {
   // The encoder accepts module numbers 0..7 but only 0..5 name a module: a
   // CHK addressed to 6 or 7 is dispatched nowhere.

@@ -151,6 +151,22 @@ TEST(CampaignRunner, JsonCarriesEveryShardHeaderKey) {
   EXPECT_NE(json.find("\"targets\": [\"reg\", \"data\"]"), std::string::npos) << json;
 }
 
+TEST(CampaignRunner, RunCountsPastTheCapAreConfigErrors) {
+  // Checked before the golden run: a campaign preallocates one result per
+  // run, so these would exhaust memory instead.
+  CampaignRunner runner;
+  CampaignSpec runs = loop_spec(kMaxRuns + 1);
+  EXPECT_THROW(runner.run(runs), ConfigError);
+  CampaignSpec cap = loop_spec();
+  cap.ci_threshold = 0.05;
+  cap.ci_max_runs = kMaxRuns + 1;
+  EXPECT_THROW(runner.run(cap), ConfigError);
+  // The default refinement cap, 4 x runs, stops at kMaxRuns too.
+  CampaignSpec large = loop_spec(kMaxRuns / 2);
+  large.ci_threshold = 0.05;
+  EXPECT_EQ(max_runs(large), kMaxRuns);
+}
+
 TEST(CampaignRunner, FastForwardLeavesEveryClassifiedOutcomeUnchanged) {
   // --fast-forward replays each eligible run's fault-free prefix through the
   // exec/ fast engine and transplants into the cycle-accurate core at the

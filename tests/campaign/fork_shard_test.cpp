@@ -178,6 +178,21 @@ TEST_F(ForkShardTest, ShardReaderRejectsOutOfRangeRunFields) {
   }
 }
 
+TEST_F(ForkShardTest, ShardReaderRejectsUnknownWorkload) {
+  // A name the workload table lacks is no campaign to merge, and one with a
+  // quote would reach the JSON report unescaped.
+  const std::string text = campaign::shard_report_text(runner_.run(small_spec("loop", 2)));
+  ASSERT_NO_THROW(campaign::parse_shard_report(text));
+  const std::string line = "\nworkload loop\n";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* name : {"lo\"op", "loops", "kmeans large"}) {
+    const std::string bad =
+        text.substr(0, at) + "\nworkload " + name + "\n" + text.substr(at + line.size());
+    EXPECT_THROW(campaign::parse_shard_report(bad), SimError) << name;
+  }
+}
+
 // ---- digest key regressions: one test per new spec token ----------------
 
 TEST_F(ForkShardTest, DigestExcludesExecutionStrategyKnobs) {

@@ -4,7 +4,7 @@
 //   rse_campaign [options]
 //     --workload <name>     loop | calls | args | stride | kmeans |
 //                           kmeans-large | server                  (kmeans)
-//     --runs <n>            number of injected runs                (256)
+//     --runs <n>            number of injected runs, 1..10^6       (256)
 //     --seed <n>            campaign seed                          (1)
 //     --jobs <n>            worker threads, 0 = hardware           (0)
 //     --targets a,b,...     subset of reg,instr,data,config        (all)
@@ -47,7 +47,8 @@
 //     --ci-threshold <f>    refine outcome strata whose Wilson 95% interval
 //                           straddles f with extra deterministic runs
 //     --ci-batch <n>        refinement batch size (0 = max(16, runs/2))
-//     --ci-max-runs <n>     refinement total-run cap (0 = 4 x runs)
+//     --ci-max-runs <n>     refinement total-run cap, 0..10^6
+//                           (0 = 4 x runs, at most 10^6)
 //     --describe <index>    print one run's injection point and exit; the
 //                           index is below --runs (below the refinement
 //                           cap under --ci-threshold)
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     if (arg == "--workload") {
       spec.workload = value();
     } else if (arg == "--runs") {
-      spec.runs = tools::uint_arg<u32>(arg, value());
+      spec.runs = tools::uint_arg<u32>(arg, value(), 1, campaign::kMaxRuns);
     } else if (arg == "--seed") {
       spec.seed = tools::uint_arg<u64>(arg, value());
     } else if (arg == "--jobs") {
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--ci-batch") {
       spec.ci_batch = tools::uint_arg<u32>(arg, value());
     } else if (arg == "--ci-max-runs") {
-      spec.ci_max_runs = tools::uint_arg<u32>(arg, value());
+      spec.ci_max_runs = tools::uint_arg<u32>(arg, value(), 0, campaign::kMaxRuns);
     } else if (arg == "--targets") {
       if (!parse_targets(value(), &spec.targets)) {
         std::cerr << "bad --targets list\n";
