@@ -1,19 +1,20 @@
-// Campaign engine scaling: runs/sec of the same fixed campaign at
-// increasing --jobs, against the --jobs 1 baseline.  Simulations are
-// independent and embarrassingly parallel, so on an N-core host throughput
-// should scale near-linearly until the worker count passes the core count.
-// The golden-run cache is shared across sweep points, so only the first
-// campaign pays for the fault-free baseline.
+// Campaign engine scaling: runs/sec of the same fixed from-reset campaign
+// (CampaignRunner::run_from_reset) at increasing --jobs, against the
+// --jobs 1 baseline.  Simulations are independent and embarrassingly
+// parallel, so on an N-core host throughput should scale near-linearly until
+// the worker count passes the core count.  The golden-run cache is shared
+// across sweep points, so only the first campaign pays for the fault-free
+// baseline.
 //
 // On top of the scaling sweep the bench proves the execution-mode
-// optimizations end to end and records the trajectory in
-// BENCH_campaign.json:
+// optimizations end to end against from-reset campaigns and records the
+// trajectory in BENCH_campaign.json:
 //  - --fast-forward must reproduce the classic digest byte-for-byte;
-//  - checkpoint-fork (--snapshot-fork) must reproduce the classic digest
-//    byte-for-byte AND deliver >= 2x end-to-end wall-clock speedup on a
-//    register-fault campaign with a late injection window (the regime the
-//    mode exists for: every from-reset run pays the whole prefix, every
-//    forked run only the post-injection suffix);
+//  - checkpoint-fork (CampaignRunner::run's default) must reproduce the
+//    classic digest byte-for-byte AND deliver >= 2x end-to-end wall-clock
+//    speedup on a register-fault campaign with a late injection window (the
+//    regime the mode exists for: every from-reset run pays the whole
+//    prefix, every forked run only the post-injection suffix);
 //  - with --expect-ci, a sequential-refinement campaign must actually grow
 //    the run set and leave no stratum's Wilson interval straddling the
 //    threshold (unless the run cap was hit), jobs-invariantly.
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   for (std::size_t p = 0; p < job_counts.size(); ++p) {
     const u32 jobs = job_counts[p];
     spec.jobs = jobs;
-    const campaign::CampaignReport report = runner.run(spec);
+    const campaign::CampaignReport report = runner.run_from_reset(spec);
     const std::string digest = campaign::deterministic_digest(report);
     if (jobs == 1) {
       baseline_digest = digest;
@@ -141,10 +142,8 @@ int main(int argc, char** argv) {
     fork_spec.window_hi = 1.0;
     fork_spec.snapshot_buckets = 16;
 
-    fork_spec.snapshot_fork = false;
     (void)runner.cache().get(campaign::make_workload(fork_spec.workload));  // warm golden
-    const campaign::CampaignReport classic = runner.run(fork_spec);
-    fork_spec.snapshot_fork = true;
+    const campaign::CampaignReport classic = runner.run_from_reset(fork_spec);
     const campaign::CampaignReport forked = runner.run(fork_spec);
 
     const bool match = campaign::deterministic_digest(classic) ==
@@ -163,7 +162,7 @@ int main(int argc, char** argv) {
          << report::fmt_fixed(speedup, 3) << ", \"floor\": " << kForkFloor
          << ", \"digest_match\": " << (match ? "true" : "false") << "},\n";
     if (!match) {
-      std::cerr << "CHECKPOINT-FORK DIGEST MISMATCH: --snapshot-fork changed campaign "
+      std::cerr << "CHECKPOINT-FORK DIGEST MISMATCH: forking changed campaign "
                    "classification\n";
       return 1;
     }
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
     mem_spec.window_lo = 0.85;
     mem_spec.window_hi = 1.0;
 
-    const campaign::CampaignReport classic = runner.run(mem_spec);
+    const campaign::CampaignReport classic = runner.run_from_reset(mem_spec);
     mem_spec.fast_forward = true;
     const campaign::CampaignReport fast = runner.run(mem_spec);
     const campaign::FastForwardStats ff = runner.fast_forward_stats();

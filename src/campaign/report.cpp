@@ -155,8 +155,8 @@ std::string fmt_fraction(double value) {
 /// Digest tokens for the modes that change the *executed run set* — and only
 /// those.  A non-default injection window redraws every injection cycle and
 /// CI refinement appends runs, so both must key the digest.  Execution
-/// strategy knobs (snapshot_fork/snapshot_buckets, shard_index/shard_count,
-/// jobs, fast_forward) are deliberately absent: they change how runs are
+/// strategy knobs (snapshot_buckets, shard_index/shard_count, jobs,
+/// fast_forward) are deliberately absent: they change how runs are
 /// simulated, never which runs exist or how they classify, and the
 /// shard-merge / checkpoint-fork determinism tests assert exactly that.
 /// Both tokens are empty at their defaults so historical digests are
@@ -215,7 +215,6 @@ std::string to_json(const CampaignReport& report) {
   os << "  \"context_depth\": " << report.spec.context_depth << ",\n";
   os << "  \"field_sensitive\": " << (report.spec.field_sensitive ? "true" : "false") << ",\n";
   os << "  \"fast_forward\": " << (report.spec.fast_forward ? "true" : "false") << ",\n";
-  os << "  \"snapshot_fork\": " << (report.spec.snapshot_fork ? "true" : "false") << ",\n";
   os << "  \"snapshot_buckets\": " << report.spec.snapshot_buckets << ",\n";
   os << "  \"dme\": " << (report.spec.dme ? "true" : "false") << ",\n";
   os << "  \"dme_seed_a\": " << report.spec.dme_seed_a << ",\n";

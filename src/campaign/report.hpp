@@ -67,20 +67,20 @@ struct CampaignSpec {
   bool field_sensitive = true;
   /// Fast-forward the fault-free prefix of eligible runs through the exec/
   /// fast engine and transplant into the cycle-accurate core at the
-  /// injection cycle (docs/execution.md).  Off by default.  Classified
-  /// outcomes — and therefore the deterministic digest — are identical with
-  /// and without it; only per-run cycle counts (timing, excluded from the
-  /// digest) may differ.
+  /// injection cycle (docs/execution.md) instead of forking it.  Off by
+  /// default.  Classified outcomes — and therefore the deterministic digest
+  /// — are identical with and without it; only per-run cycle counts
+  /// (timing, excluded from the digest) may differ.
   bool fast_forward = false;
-  /// Checkpoint-fork injection: capture one whole-machine snapshot
-  /// (os::MachineSnapshot) per injection-cycle bucket and fork every run
-  /// from the latest snapshot at or before its injection cycle, paying only
-  /// the post-injection suffix.  The chain comes from one from-reset pass
-  /// and is bit-exact, so classified outcomes, per-run cycle counts, and the
-  /// deterministic digest are byte-identical to from-reset runs; neither
-  /// flag enters the digest or the golden-cache key.  Takes precedence over
-  /// fast_forward: with both set, every run forks.
+  /// Unread by CampaignRunner::run, which forks every run it does not
+  /// fast-forward; it stays only because perfbench/ sets and reads it.
   bool snapshot_fork = false;
+  /// Checkpoint-fork's chain: one whole-machine snapshot
+  /// (os::MachineSnapshot) per injection-cycle bucket, captured by one
+  /// from-reset pass.  A forked run restores the latest one at or before
+  /// its injection cycle and pays only the rest; classified outcomes,
+  /// per-run cycle counts and the digest are byte-identical to from-reset
+  /// runs.  Enters neither the digest nor the golden-cache key.
   u32 snapshot_buckets = 8;  // in [1, kMaxSnapshotBuckets]
   /// Divergent multi-version execution (rse/dme.hpp): the campaign variant
   /// runs with layout randomization under mlr seed `dme_seed_a`, and every

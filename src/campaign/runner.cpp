@@ -295,6 +295,7 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
     // Restore failures are campaign bugs, not guest crashes: let them escape
     // rather than classify as kCrash (run() reports them with the run index).
     os::MachineSnapshot::restore(*route.snapshot, boot->machine, boot->guest);
+    forked_.fetch_add(1, std::memory_order_relaxed);
   } else if (route.boundary != nullptr) {
     exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
     if (!exec::FastForwardController::fast_forward_to(boot->guest, golden.program,
@@ -379,6 +380,8 @@ FastForwardStats CampaignRunner::fast_forward_stats() const {
                           0,                  count(kIllegal), count(kOther)};
 }
 
+u64 CampaignRunner::forked_runs() const { return forked_.load(std::memory_order_relaxed); }
+
 SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
                                                    const GoldenRun& golden,
                                                    const CampaignSpec& spec, Cycle budget,
@@ -405,6 +408,14 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
 }
 
 CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
+  return run_campaign(spec, /*from_reset=*/false);
+}
+
+CampaignReport CampaignRunner::run_from_reset(const CampaignSpec& spec) {
+  return run_campaign(spec, /*from_reset=*/true);
+}
+
+CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_reset) {
   if (spec.runs == 0 || spec.runs > kMaxRuns || spec.ci_max_runs > kMaxRuns) {
     const std::string max = std::to_string(kMaxRuns);
     throw ConfigError("campaign runs must lie in [1, " + max + "] and the refinement cap in [0, " +
@@ -458,24 +469,27 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   const u32 shard_hi =
       static_cast<u32>(u64{spec.runs} * (spec.shard_index + 1) / spec.shard_count);
 
-  // Fast-forward prerequisites: one instrumented cycle-accurate replay maps
-  // each eligible injection cycle to its functional-stream position.  A
-  // golden run with baseline detector activity disables the fast path
-  // entirely — the detector events of the fault-free prefix would be missing
-  // from a fast-forwarded run, skewing the against-golden classification.
-  // A DME baseline divergence (variant B disagrees with fault-free variant A)
-  // also disables it: the skipped prefix could hide where the baseline
-  // diverges, so set_position would desynchronize the checker.
+  // The prefix every run is offered (run()'s rule).  Fast-forward needs one
+  // instrumented cycle-accurate replay that maps each eligible injection
+  // cycle to its functional-stream position.  A golden run with baseline
+  // detector activity rules the fast path out — the detector events of the
+  // fault-free prefix would be missing from a fast-forwarded run, skewing
+  // the against-golden classification; such campaigns fork instead.  A DME
+  // baseline divergence (variant B disagrees with fault-free variant A)
+  // rules out both prefixes: the skipped prefix could hide where the
+  // baseline diverges, so set_position would desynchronize the checker.
   for (std::atomic<u64>& count : ff_counts_) count.store(0, std::memory_order_relaxed);
+  forked_.store(0, std::memory_order_relaxed);
   Prefixes prefixes;
   exec::FastForwardController::BoundaryMap boundaries;
+  const bool dme_baseline_clean = !spec.dme || golden_ptr->dme_divergences == 0;
   const bool golden_baseline_clean =
       golden->icm_mismatches == 0 && golden->cfc_violations == 0 &&
       golden->selfcheck_trips == 0 && golden->os_recoveries == 0 &&
-      golden->ddt_footprint_violations == 0 &&
-      (!spec.dme || golden_ptr->dme_divergences == 0);
-  const bool use_fast_forward = spec.fast_forward && golden_baseline_clean;
-  if (use_fast_forward && !spec.snapshot_fork) {
+      golden->ddt_footprint_violations == 0 && dme_baseline_clean;
+  const bool use_fast_forward = !from_reset && spec.fast_forward && golden_baseline_clean;
+  const bool use_fork = !from_reset && !use_fast_forward && dme_baseline_clean;
+  if (use_fast_forward) {
     std::vector<Cycle> cycles;
     for (u32 i = shard_lo; i < shard_hi; ++i) {
       const InjectionRecord record = plan.record(i);
@@ -496,11 +510,10 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
 
   const auto start = std::chrono::steady_clock::now();
 
-  // The snapshot chain counts toward wall time — it is the checkpoint-fork
-  // mode's setup cost, amortized across every run that forks from it.  DME
-  // runs fork under the same baseline gate as fast-forward.
+  // The snapshot chain counts toward wall time — it is checkpoint-fork's
+  // setup cost, amortized across every run that forks from it.
   SnapshotChain chain;
-  if (spec.snapshot_fork && (!spec.dme || golden_ptr->dme_divergences == 0)) {
+  if (use_fork) {
     chain = build_snapshot_chain(setup, *golden, spec, budget, /*use_fast_forward=*/false);
     prefixes = Prefixes{&chain};
   }

@@ -83,8 +83,23 @@ class CampaignRunner {
   explicit CampaignRunner(GoldenCache* cache = nullptr);
 
   /// Execute a whole campaign: golden run (cached), plan, parallel fan-out,
-  /// classification, aggregation.
+  /// classification, aggregation.  A run's fault-free prefix comes from the
+  /// first of these that applies:
+  ///  - spec.fast_forward and a clean golden (and DME) baseline: the fast
+  ///    engine (run_one_fast_forward);
+  ///  - a DME baseline that does not diverge (every non-DME campaign): the
+  ///    latest snapshot of build_snapshot_chain's chain at or before the
+  ///    injection cycle (checkpoint-fork, run_one_forked);
+  ///  - reset.
+  /// The classified outcome never depends on the prefix, and a forked run
+  /// reproduces the from-reset run's cycles as well (docs/campaigns.md).
   CampaignReport run(const CampaignSpec& spec);
+
+  /// run() with every run simulated from reset: the same validation, golden
+  /// run, plan, DME baseline, sharding and CI refinement.  The reference
+  /// tests and benches check and time the fork and fast-forward prefixes
+  /// against.
+  CampaignReport run_from_reset(const CampaignSpec& spec);
 
   /// Reproduce a single run in isolation (tests, debugging a campaign hit)
   /// with the default hang budget.  A non-null `dme_reference` streams the
@@ -123,6 +138,10 @@ class CampaignRunner {
   /// Fast-forward fallback accounting for the most recent run() (or the
   /// run_one_fast_forward calls since then).  Not part of any digest.
   FastForwardStats fast_forward_stats() const;
+
+  /// Runs of the most recent run() (or the run_one_forked calls since then)
+  /// that restored a chain snapshot.  Not part of any digest.
+  u64 forked_runs() const;
 
   /// Checkpoint-fork: restore the latest chain snapshot at or before the
   /// injection cycle, then step to it as a from-reset run would.  Records
@@ -171,6 +190,7 @@ class CampaignRunner {
     kNumFallbacks
   };
 
+  CampaignReport run_campaign(const CampaignSpec& spec, bool from_reset);
   Cycle budget_for(const GoldenRun& golden, double hang_factor) const;
   bool apply_fault(os::Machine& machine, const InjectionRecord& record) const;
   static Route route(const GoldenRun& golden, const InjectionRecord& record, Cycle budget,
@@ -182,9 +202,10 @@ class CampaignRunner {
   GoldenCache own_cache_;
   GoldenCache* cache_;
 
-  // Runs offered a fast-forward prefix, by fallback; workers increment
-  // concurrently with relaxed atomics.
+  // Runs offered a fast-forward prefix, by fallback, and runs restored from
+  // a snapshot; workers increment concurrently with relaxed atomics.
   mutable std::array<std::atomic<u64>, kNumFallbacks> ff_counts_{};
+  mutable std::atomic<u64> forked_{0};
 };
 
 }  // namespace rse::campaign

@@ -72,7 +72,6 @@ std::string shard_report_text(const CampaignReport& report) {
   os << "context_depth " << spec.context_depth << '\n';
   os << "field_sensitive " << (spec.field_sensitive ? 1 : 0) << '\n';
   os << "fast_forward " << (spec.fast_forward ? 1 : 0) << '\n';
-  os << "snapshot_fork " << (spec.snapshot_fork ? 1 : 0) << '\n';
   os << "snapshot_buckets " << spec.snapshot_buckets << '\n';
   os << "dme " << (spec.dme ? 1 : 0) << '\n';
   os << "dme_seed_a " << spec.dme_seed_a << '\n';
@@ -129,7 +128,6 @@ CampaignReport parse_shard_report(const std::string& text) {
   spec.context_depth = expect_value<u32>(in, "context_depth");
   spec.field_sensitive = expect_value<int>(in, "field_sensitive") != 0;
   spec.fast_forward = expect_value<int>(in, "fast_forward") != 0;
-  spec.snapshot_fork = expect_value<int>(in, "snapshot_fork") != 0;
   spec.snapshot_buckets = expect_value<u32>(in, "snapshot_buckets");
   spec.dme = expect_value<int>(in, "dme") != 0;
   spec.dme_seed_a = expect_value<u64>(in, "dme_seed_a");

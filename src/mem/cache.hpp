@@ -78,20 +78,14 @@ class Cache : public MemLevel {
   }
 
  private:
+  /// No padding (`spare` names it), so a snapshot copies the lines in one
+  /// block.
   struct Line {
     bool valid = false;
     bool dirty = false;
+    u16 spare = 0;  // always 0
     u32 tag = 0;
     u64 lru = 0;  // last-touch stamp
-
-    /// Snapshot hook, field by field: the struct has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(valid);
-      ar.field(dirty);
-      ar.field(tag);
-      ar.field(lru);
-    }
   };
 
   u32 set_index(Addr addr) const { return (addr >> block_shift_) & (num_sets_ - 1); }

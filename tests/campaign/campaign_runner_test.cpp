@@ -177,7 +177,7 @@ TEST(CampaignRunner, FastForwardLeavesEveryClassifiedOutcomeUnchanged) {
   CampaignSpec ff_spec = classic_spec;
   ff_spec.fast_forward = true;
 
-  const CampaignReport classic = runner.run(classic_spec);
+  const CampaignReport classic = runner.run_from_reset(classic_spec);
   const CampaignReport ff = runner.run(ff_spec);
   EXPECT_EQ(deterministic_digest(ff), deterministic_digest(classic));
   ASSERT_EQ(ff.results.size(), classic.results.size());
@@ -196,7 +196,7 @@ TEST(CampaignRunner, FastForwardRegisterOnlyCampaignMatchesClassic) {
   classic_spec.targets = {InjectTarget::kRegisterBit};
   CampaignSpec ff_spec = classic_spec;
   ff_spec.fast_forward = true;
-  const CampaignReport classic = runner.run(classic_spec);
+  const CampaignReport classic = runner.run_from_reset(classic_spec);
   const CampaignReport ff = runner.run(ff_spec);
   EXPECT_EQ(deterministic_digest(ff), deterministic_digest(classic));
 }
@@ -216,7 +216,7 @@ TEST(CampaignRunner, FastForwardStopsAtTheHangBudgetLikeClassic) {
   CampaignSpec ff_spec = classic_spec;
   ff_spec.fast_forward = true;
 
-  const CampaignReport classic = runner.run(classic_spec);
+  const CampaignReport classic = runner.run_from_reset(classic_spec);
   const CampaignReport ff = runner.run(ff_spec);
   EXPECT_EQ(deterministic_digest(ff), deterministic_digest(classic));
   EXPECT_EQ(ff.faults_applied, classic.faults_applied);

@@ -1,12 +1,13 @@
 // Determinism harness for the checkpoint-fork campaign engine and
 // multi-process sharding (docs/campaigns.md):
-//  - checkpoint-fork campaigns must reproduce the from-reset campaign
-//    byte-for-byte — deterministic digest AND the per-run CSV (outcomes,
-//    fault_applied, per-run cycle counts) — on real workloads;
+//  - checkpoint-fork campaigns (run()'s default) must reproduce the
+//    from-reset campaign (run_from_reset) byte-for-byte — deterministic
+//    digest AND the per-run CSV (outcomes, fault_applied, per-run cycle
+//    counts) — on real workloads;
 //  - merging shard reports must reproduce the unsharded digest for any
 //    shard count x jobs combination, through the text round trip;
 //  - the digest and golden-cache keys must see exactly the right spec
-//    fields: execution-strategy knobs (snapshot_fork, buckets, shard
+//    fields: execution-strategy knobs (the prefix, buckets, shard
 //    coordinates, jobs, fast_forward) stay out, run-set knobs (window,
 //    ci_threshold) go in.
 #include <gtest/gtest.h>
@@ -50,10 +51,10 @@ class ForkShardTest : public ::testing::Test {
 };
 
 TEST_F(ForkShardTest, ForkedCampaignIsByteIdenticalToFromResetOnKmeans) {
-  campaign::CampaignSpec spec = small_spec("kmeans", 32);
-  const campaign::CampaignReport classic = runner_.run(spec);
-  spec.snapshot_fork = true;
+  const campaign::CampaignSpec spec = small_spec("kmeans", 32);
+  const campaign::CampaignReport classic = runner_.run_from_reset(spec);
   const campaign::CampaignReport forked = runner_.run(spec);
+  EXPECT_EQ(runner_.forked_runs(), forked.results.size());
 
   EXPECT_EQ(campaign::deterministic_digest(classic), campaign::deterministic_digest(forked));
   // Byte identity extends to the per-run CSV: outcome, fault_applied, and
@@ -69,10 +70,10 @@ TEST_F(ForkShardTest, ForkedCampaignIsByteIdenticalToFromResetOnKmeans) {
 TEST_F(ForkShardTest, ForkedCampaignIsByteIdenticalToFromResetOnStride) {
   campaign::CampaignSpec spec = small_spec("stride", 32);
   spec.static_ddt = true;  // footprint check in the loop: modules serialize too
-  const campaign::CampaignReport classic = runner_.run(spec);
-  spec.snapshot_fork = true;
+  const campaign::CampaignReport classic = runner_.run_from_reset(spec);
   spec.snapshot_buckets = 5;
   const campaign::CampaignReport forked = runner_.run(spec);
+  EXPECT_EQ(runner_.forked_runs(), forked.results.size());
 
   EXPECT_EQ(campaign::deterministic_digest(classic), campaign::deterministic_digest(forked));
   const std::string classic_csv = ::testing::TempDir() + "/classic_stride.csv";
@@ -132,7 +133,6 @@ TEST_F(ForkShardTest, ShardReportTextRoundTripsEveryDeterministicField) {
   campaign::CampaignSpec spec = small_spec("loop", 9);
   spec.window_lo = 0.25;
   spec.window_hi = 0.75;
-  spec.snapshot_fork = true;
   spec.static_ddt = true;
   const campaign::CampaignReport report = runner_.run(spec);
   const campaign::CampaignReport round = campaign::parse_shard_report(
@@ -197,15 +197,14 @@ TEST_F(ForkShardTest, ShardReaderRejectsUnknownWorkload) {
 
 TEST_F(ForkShardTest, DigestExcludesExecutionStrategyKnobs) {
   campaign::CampaignSpec spec = small_spec("loop", 16);
-  const std::string baseline = campaign::deterministic_digest(runner_.run(spec));
+  const std::string baseline = campaign::deterministic_digest(runner_.run_from_reset(spec));
 
   // Every knob that only changes HOW runs execute — never WHICH runs or
-  // their outcomes — must stay out of the digest.  Each is toggled alone.
-  campaign::CampaignSpec fork = spec;
-  fork.snapshot_fork = true;
-  EXPECT_EQ(baseline, campaign::deterministic_digest(runner_.run(fork))) << "snapshot_fork";
+  // their outcomes — must stay out of the digest.  Each is toggled alone,
+  // starting with the prefix itself: run() forks every run.
+  EXPECT_EQ(baseline, campaign::deterministic_digest(runner_.run(spec))) << "checkpoint-fork";
 
-  campaign::CampaignSpec buckets = fork;
+  campaign::CampaignSpec buckets = spec;
   buckets.snapshot_buckets = 3;
   EXPECT_EQ(baseline, campaign::deterministic_digest(runner_.run(buckets)))
       << "snapshot_buckets";
@@ -268,12 +267,13 @@ TEST_F(ForkShardTest, GoldenCacheKeyIgnoresExecutionStrategyKnobs) {
   (void)runner_.run(spec);
   const u64 misses_after_first = cache_.misses();
 
-  // Fork, shard, window, and CI campaigns of the same workload/config must
-  // all reuse the one cached golden run: the golden is fault-free, so no
-  // new-mode knob may leak into its key.
-  campaign::CampaignSpec fork = spec;
-  fork.snapshot_fork = true;
-  (void)runner_.run(fork);
+  // From-reset, bucket, shard, window, and CI campaigns of the same
+  // workload/config must all reuse the one cached golden run: the golden is
+  // fault-free, so no execution or run-set knob may leak into its key.
+  (void)runner_.run_from_reset(spec);
+  campaign::CampaignSpec buckets = spec;
+  buckets.snapshot_buckets = 3;
+  (void)runner_.run(buckets);
   campaign::CampaignSpec shard = spec;
   shard.shard_index = 1;
   shard.shard_count = 2;
@@ -288,7 +288,7 @@ TEST_F(ForkShardTest, GoldenCacheKeyIgnoresExecutionStrategyKnobs) {
   (void)runner_.run(refined);
 
   EXPECT_EQ(misses_after_first, cache_.misses());
-  EXPECT_GE(cache_.hits(), 4u);
+  EXPECT_GE(cache_.hits(), 5u);
 }
 
 TEST_F(ForkShardTest, ShardRangesPartitionThePlan) {

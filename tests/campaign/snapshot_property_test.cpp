@@ -10,14 +10,17 @@
 //    bit-identically to the reference (registers, memory digest, output,
 //    exit code, instruction counts, module statistics).
 // Snapshot points sweep the reference run's cycle buckets, and the
-// campaign-level test pins the checkpoint-fork digest across bucket counts
-// with --fast-forward both off and on (the chain is built from reset
-// either way).  DME campaigns fork too: a forked run's trace checker starts
+// campaign-level test pins the digest of run(), which forks every run by
+// default, to the from-reset campaign's across bucket counts, with
+// --fast-forward both off and on.  DME campaigns fork too: a forked run's trace checker starts
 // at the snapshot's commit-record count, which must equal what a from-reset
 // run delivers to the commit observer by then, and a forked DME campaign
-// must reproduce the from-reset one run for run.
+// must reproduce the from-reset one run for run.  Last, run()'s default
+// prefix is pinned on every workload: each run forks, and each equals the
+// from-reset run, cycles included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -194,10 +197,11 @@ TEST(SnapshotPropertyTest, MidRunOutputRoundTripsBitExactly) {
   run_property_suite(config, 50, 3000);
 }
 
-// Campaign-level pin: checkpoint-fork must not move the deterministic
-// digest across bucket counts, with or without --fast-forward.  The chain
-// comes from one from-reset pass either way, so every fault target forks
-// from a cycle-exact snapshot.  The register-only arms are the sensitive
+// Campaign-level pin: run()'s checkpoint-fork must not move the from-reset
+// campaign's deterministic digest across bucket counts, and neither may
+// --fast-forward, which run() takes instead of forking.  The chain comes
+// from one from-reset pass, so every fault target forks from a cycle-exact
+// snapshot.  The register-only arms are the sensitive
 // ones: a chain that is only architecturally exact (a fast-forwarded prefix
 // transplanted into an empty pipeline) shifts where a register flip lands,
 // which moves loop's digest at seed 1 (4, 8 and 13 buckets) and at seed 11
@@ -220,12 +224,11 @@ TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForw
     spec.seed = arm.seed;
     spec.jobs = 2;
     spec.targets = arm.targets;
-    const std::string baseline = campaign::deterministic_digest(runner.run(spec));
+    const std::string baseline = campaign::deterministic_digest(runner.run_from_reset(spec));
 
     for (const u32 buckets : {1u, 4u, 8u, 13u}) {
       for (const bool fast_forward : {false, true}) {
         campaign::CampaignSpec fork_spec = spec;
-        fork_spec.snapshot_fork = true;
         fork_spec.snapshot_buckets = buckets;
         fork_spec.fast_forward = fast_forward;
         EXPECT_EQ(baseline, campaign::deterministic_digest(runner.run(fork_spec)))
@@ -244,7 +247,6 @@ TEST(SnapshotPropertyTest, ChainBytesDependOnlyOnTheRun) {
   spec.workload = "server";
   spec.static_cfc = true;
   spec.static_ddt = true;
-  spec.snapshot_fork = true;
   campaign::CampaignRunner runner;
   const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
   const auto golden = runner.cache().get(setup);
@@ -348,10 +350,9 @@ TEST(SnapshotPropertyTest, ForkedDmeCampaignMatchesFromReset) {
   campaign::CampaignRunner runner(&cache);
   for (const char* workload : {"loop", "attack-chk", "benign-heap", "attack-heap"}) {
     const campaign::CampaignSpec spec = dme_spec(workload, 32);
-    campaign::CampaignSpec fork_spec = spec;
-    fork_spec.snapshot_fork = true;
-    const campaign::CampaignReport reset = runner.run(spec);
-    const campaign::CampaignReport forked = runner.run(fork_spec);
+    const campaign::CampaignReport reset = runner.run_from_reset(spec);
+    const campaign::CampaignReport forked = runner.run(spec);
+    EXPECT_EQ(runner.forked_runs() == 0, std::string(workload) == "attack-heap") << workload;
     EXPECT_EQ(campaign::deterministic_digest(forked), campaign::deterministic_digest(reset))
         << workload;
     EXPECT_EQ(forked.results, reset.results) << workload;
@@ -360,7 +361,7 @@ TEST(SnapshotPropertyTest, ForkedDmeCampaignMatchesFromReset) {
     const auto golden = cache.get(setup);
     const Cycle budget = golden->cycles * 8 + 20'000;
     const campaign::SnapshotChain chain =
-        runner.build_snapshot_chain(setup, *golden, fork_spec, budget, false);
+        runner.build_snapshot_chain(setup, *golden, spec, budget, false);
     ASSERT_FALSE(chain.snaps.empty()) << workload;
     u32 forkable = 0;
     for (const campaign::RunResult& r : reset.results) {
@@ -369,5 +370,67 @@ TEST(SnapshotPropertyTest, ForkedDmeCampaignMatchesFromReset) {
     EXPECT_GE(forkable, 16u) << workload << ": too few runs would fork to test anything";
   }
 }
+
+/// One campaign of the default-prefix pin: a workload, with both static
+/// tables or with DME.
+struct DefaultForkCase {
+  std::string workload;
+  bool static_tables = false;
+  bool dme = false;
+};
+
+void PrintTo(const DefaultForkCase& param, std::ostream* os) {
+  *os << param.workload << (param.static_tables ? " --static-cfc --static-ddt" : "")
+      << (param.dme ? " --dme" : "");
+}
+
+std::vector<DefaultForkCase> default_fork_cases() {
+  std::vector<DefaultForkCase> cases;
+  for (const std::string& name : campaign::workload_names()) cases.push_back({name});
+  cases.push_back({"calls", true});
+  cases.push_back({"server", true});
+  cases.push_back({"loop", false, true});
+  return cases;
+}
+
+class DefaultForkProperty : public ::testing::TestWithParam<DefaultForkCase> {};
+
+// run() forks every run from the golden run's snapshot chain, whose first
+// snapshot is at cycle 0 on every workload, and each forked run must be the
+// from-reset run: outcome, fault_applied and cycles.
+TEST_P(DefaultForkProperty, RunForksEveryRunAndMatchesRunFromReset) {
+  const DefaultForkCase& param = GetParam();
+  campaign::CampaignSpec spec;
+  spec.workload = param.workload;
+  spec.runs = 16;
+  spec.seed = 1;
+  spec.jobs = 2;
+  spec.hang_factor = 2.0;  // a hung run costs about two golden runs
+  spec.static_cfc = param.static_tables;
+  spec.static_ddt = param.static_tables;
+  spec.dme = param.dme;
+  campaign::CampaignRunner runner;
+  const campaign::CampaignReport reset = runner.run_from_reset(spec);
+  EXPECT_EQ(runner.forked_runs(), 0u);
+  const campaign::CampaignReport forked = runner.run(spec);
+  EXPECT_EQ(runner.forked_runs(), spec.runs);
+  ASSERT_EQ(forked.results.size(), reset.results.size());
+  for (std::size_t i = 0; i < reset.results.size(); ++i) {
+    EXPECT_EQ(forked.results[i].outcome, reset.results[i].outcome) << "run " << i;
+    EXPECT_EQ(forked.results[i].fault_applied, reset.results[i].fault_applied) << "run " << i;
+    EXPECT_EQ(forked.results[i].cycles, reset.results[i].cycles) << "run " << i;
+    EXPECT_EQ(forked.results[i], reset.results[i]) << "run " << i;
+  }
+  EXPECT_EQ(campaign::deterministic_digest(forked), campaign::deterministic_digest(reset));
+}
+
+INSTANTIATE_TEST_SUITE_P(Campaigns, DefaultForkProperty, ::testing::ValuesIn(default_fork_cases()),
+                         [](const ::testing::TestParamInfo<DefaultForkCase>& info) {
+                           std::string name = info.param.workload;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           if (info.param.static_tables) name += "_static";
+                           if (info.param.dme) name += "_dme";
+                           return name;
+                         });
 
 }  // namespace

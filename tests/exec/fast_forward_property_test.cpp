@@ -193,7 +193,7 @@ TEST_P(FastForwardWindowedDigest, DigestMatchesClassicAcrossWindows) {
   spec.window_hi = hi;
 
   campaign::CampaignRunner runner;  // shared golden cache across both runs
-  const campaign::CampaignReport classic = runner.run(spec);
+  const campaign::CampaignReport classic = runner.run_from_reset(spec);
   spec.fast_forward = true;
   const campaign::CampaignReport fast = runner.run(spec);
   EXPECT_EQ(campaign::deterministic_digest(fast), campaign::deterministic_digest(classic));
@@ -222,7 +222,7 @@ TEST(FastForwardWindowedDigest, IcmCheckedInstrFaultsFallBackAndDigestMatches) {
   spec.window_hi = 1.0;
 
   campaign::CampaignRunner runner;
-  const campaign::CampaignReport classic = runner.run(spec);
+  const campaign::CampaignReport classic = runner.run_from_reset(spec);
   spec.fast_forward = true;
   const campaign::CampaignReport fast = runner.run(spec);
   EXPECT_EQ(campaign::deterministic_digest(fast), campaign::deterministic_digest(classic));
@@ -243,7 +243,7 @@ TEST(FastForwardWindowedDigest, CallsWorkloadLateWindowMatchesClassic) {
   spec.window_hi = 1.0;
 
   campaign::CampaignRunner runner;
-  const campaign::CampaignReport classic = runner.run(spec);
+  const campaign::CampaignReport classic = runner.run_from_reset(spec);
   spec.fast_forward = true;
   const campaign::CampaignReport fast = runner.run(spec);
   EXPECT_EQ(campaign::deterministic_digest(fast), campaign::deterministic_digest(classic));

@@ -22,14 +22,13 @@
 //                           for --static-ddt (default on)
 //     --fast-forward        run each eligible run's fault-free prefix through
 //                           the exec/ fast engine, then transplant into the
-//                           cycle-accurate core at the injection cycle
-//                           (identical digest; docs/execution.md)
-//     --snapshot-fork       checkpoint-fork injection: one whole-machine
-//                           snapshot per injection-cycle bucket, every run
-//                           forks from the latest snapshot before its
-//                           injection cycle (identical digest; overrides
-//                           --fast-forward)
-//     --snapshot-buckets n  snapshot-chain bucket count, 1..256          (8)
+//                           cycle-accurate core at the injection cycle,
+//                           instead of forking it (identical digest;
+//                           docs/execution.md)
+//     --snapshot-buckets n  snapshot-chain bucket count, 1..256          (8):
+//                           a run not fast-forwarded forks from the latest
+//                           of these whole-machine snapshots at or before
+//                           its injection cycle (docs/campaigns.md)
 //     --dme                 divergent multi-version execution: the campaign
 //                           runs layout-randomized under MLR seed A and every
 //                           run's canonical trace is diffed against a
@@ -73,9 +72,9 @@ int usage() {
   std::cerr << "usage: rse_campaign [--workload NAME] [--runs N] [--seed N] [--jobs N]\n"
             << "  [--targets reg,instr,data,config] [--hang-factor F] [--static-cfc]\n"
             << "  [--static-ddt] [--flat-footprint] [--context-depth N] [--field-sensitive]\n"
-            << "  [--no-field-sensitive] [--fast-forward] [--snapshot-fork]\n"
-            << "  [--snapshot-buckets N] [--dme] [--dme-seeds A:B] [--shard I/N]\n"
-            << "  [--shard-out PATH] [--window LO:HI]\n"
+            << "  [--no-field-sensitive] [--fast-forward] [--snapshot-buckets N]\n"
+            << "  [--dme] [--dme-seeds A:B] [--shard I/N] [--shard-out PATH]\n"
+            << "  [--window LO:HI]\n"
             << "  [--ci-threshold F] [--ci-batch N] [--ci-max-runs N]\n"
             << "  [--runs-csv PATH] [--json PATH|-] [--describe INDEX] [--digest]\n"
             << "  | rse_campaign --merge SHARD-FILE... [--runs-csv PATH] [--json PATH|-]\n"
@@ -141,8 +140,6 @@ int main(int argc, char** argv) {
       spec.field_sensitive = false;
     } else if (arg == "--fast-forward") {
       spec.fast_forward = true;
-    } else if (arg == "--snapshot-fork") {
-      spec.snapshot_fork = true;
     } else if (arg == "--snapshot-buckets") {
       spec.snapshot_buckets =
           tools::uint_arg<u32>(arg, value(), 1, campaign::kMaxSnapshotBuckets);
@@ -218,9 +215,10 @@ int main(int argc, char** argv) {
       std::cout << campaign::deterministic_digest(report);
     } else {
       std::cout << campaign::summary_text(report);
-      // Fallback accounting for runs offered a fast-forward prefix (none
-      // are under --snapshot-fork or with a detector-noisy golden run).
-      // Observational only: outcomes and the digest never depend on it.
+      // How runs started: fallback accounting for runs offered a
+      // fast-forward prefix (only under --fast-forward with a clean golden
+      // run), and the runs forked from a snapshot.  Observational only:
+      // outcomes and the digest never depend on it.
       const campaign::FastForwardStats ff = runner.fast_forward_stats();
       if (ff.fast + ff.fallbacks() > 0) {
         std::cout << "fast-forward: " << ff.fast << " fast, " << ff.fallbacks()
@@ -229,6 +227,10 @@ int main(int argc, char** argv) {
                   << ", checked " << ff.fallback_checked
                   << ", syscall " << ff.fallback_syscall << ", illegal " << ff.fallback_illegal
                   << ", other " << ff.fallback_other << ")\n";
+      }
+      if (runner.forked_runs() > 0) {
+        std::cout << "checkpoint-fork: " << runner.forked_runs() << " of "
+                  << report.results.size() << " runs forked\n";
       }
     }
     if (!shard_out.empty() && !campaign::write_shard_report(report, shard_out)) {
