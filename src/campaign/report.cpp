@@ -4,10 +4,32 @@
 #include <sstream>
 
 #include "campaign/stats.hpp"
+#include "common/error.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
 
 namespace rse::campaign {
+
+void validate(const CampaignSpec& spec) {
+  const auto check = [](bool ok, const std::string& rule) {
+    if (!ok) throw ConfigError("campaign " + rule);
+  };
+  const std::string max_runs = std::to_string(kMaxRuns);
+  check(spec.runs >= 1 && spec.runs <= kMaxRuns && spec.ci_max_runs <= kMaxRuns,
+        "runs must lie in [1, " + max_runs + "] and the refinement cap in [0, " + max_runs + "]");
+  check(spec.jobs <= kMaxJobs, "jobs must lie in [0, " + std::to_string(kMaxJobs) + "]");
+  // The CLI's range; the hang budget casts golden cycles x this to a Cycle.
+  check(spec.hang_factor >= 0.0 && spec.hang_factor <= 1e6,
+        "hang factor must lie in [0, 1000000]");
+  check(spec.shard_count != 0 && spec.shard_index < spec.shard_count, "shard index out of range");
+  check(!(spec.ci_threshold > 0.0 && spec.shard_count > 1),
+        "CI refinement is incompatible with sharding: the refined run set depends on global "
+        "outcome counts no shard has");
+  check(spec.snapshot_buckets >= 1 && spec.snapshot_buckets <= kMaxSnapshotBuckets,
+        "snapshot buckets must lie in [1, " + std::to_string(kMaxSnapshotBuckets) + "]");
+  check(spec.window_lo >= 0.0 && spec.window_lo <= spec.window_hi && spec.window_hi <= 1.0,
+        "injection window must satisfy 0 <= lo <= hi <= 1");
+}
 
 u32 CampaignReport::detected() const {
   u32 n = 0;

@@ -35,11 +35,15 @@ inline constexpr u32 kMaxSnapshotBuckets = 256;
 /// run; no caller builds a larger one (perfbench clamps to the same bound).
 inline constexpr u32 kMaxRuns = 1'000'000;
 
+/// The most worker threads a campaign starts, --jobs 0 included: a host
+/// refuses threads long before u32's range, and a refused one ends the process.
+inline constexpr u32 kMaxJobs = 256;
+
 struct CampaignSpec {
   std::string workload = "kmeans";
   u32 runs = 256;  // in [1, kMaxRuns]
   u64 seed = 1;
-  u32 jobs = 1;  // 0 = std::thread::hardware_concurrency()
+  u32 jobs = 1;  // in [0, kMaxJobs]; 0 = std::thread::hardware_concurrency()
   double hang_factor = 8.0;  // cycle budget = golden cycles x this
   /// Install the static CFC legal-successor table at load in the golden and
   /// every faulty run (OsConfig::static_cfc), from one analysis per campaign
@@ -117,6 +121,10 @@ struct CampaignSpec {
       InjectTarget::kRegisterBit, InjectTarget::kInstructionWord,
       InjectTarget::kDataWord, InjectTarget::kConfigBit};
 };
+
+/// Throws ConfigError unless every field of `spec` lies in its range.  A
+/// campaign, its plan and a shard report's header are all checked here.
+void validate(const CampaignSpec& spec);
 
 struct CampaignReport {
   CampaignSpec spec;

@@ -93,6 +93,7 @@ WorkloadSetup CampaignRunner::setup_for(const CampaignSpec& spec) {
 InjectionPlan CampaignRunner::plan_for(const CampaignSpec& spec, const GoldenRun& golden,
                                        const WorkloadSetup& setup) const {
   (void)setup;
+  validate(spec);
   InjectionSpace space;
   space.cycles = golden.cycles;
   space.text_base = golden.program.text_base;
@@ -103,9 +104,6 @@ InjectionPlan CampaignRunner::plan_for(const CampaignSpec& spec, const GoldenRun
   space.num_regs = isa::kNumRegs;
   space.targets = spec.targets;
   if (spec.window_lo != 0.0 || spec.window_hi != 1.0) {
-    if (!(spec.window_lo >= 0.0 && spec.window_lo <= spec.window_hi && spec.window_hi <= 1.0)) {
-      throw ConfigError("campaign injection window must satisfy 0 <= lo <= hi <= 1");
-    }
     // Leaving the defaults (0/0) at spec default [0, 1] keeps the historical
     // full-range RNG draw bit-for-bit (InjectionSpace::window_lo).
     space.window_lo = std::max<Cycle>(
@@ -416,22 +414,7 @@ CampaignReport CampaignRunner::run_from_reset(const CampaignSpec& spec) {
 }
 
 CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_reset) {
-  if (spec.runs == 0 || spec.runs > kMaxRuns || spec.ci_max_runs > kMaxRuns) {
-    const std::string max = std::to_string(kMaxRuns);
-    throw ConfigError("campaign runs must lie in [1, " + max + "] and the refinement cap in [0, " +
-                      max + "]");
-  }
-  if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
-    throw ConfigError("campaign shard index out of range");
-  }
-  if (spec.ci_threshold > 0.0 && spec.shard_count > 1) {
-    throw ConfigError("CI refinement is incompatible with sharding: the refined "
-                      "run set depends on global outcome counts no shard has");
-  }
-  if (spec.snapshot_buckets < 1 || spec.snapshot_buckets > kMaxSnapshotBuckets) {
-    throw ConfigError("campaign snapshot buckets must lie in [1, " +
-                      std::to_string(kMaxSnapshotBuckets) + "]");
-  }
+  validate(spec);
   const WorkloadSetup setup = setup_for(spec);
   const std::shared_ptr<const GoldenRun> golden = cache_->get(setup);
   const InjectionPlan plan = plan_for(spec, *golden, setup);
@@ -505,7 +488,8 @@ CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_
     prefixes = Prefixes{nullptr, &boundaries};
   }
 
-  u32 jobs = spec.jobs != 0 ? spec.jobs : std::max(1u, std::thread::hardware_concurrency());
+  u32 jobs =
+      spec.jobs != 0 ? spec.jobs : std::clamp(std::thread::hardware_concurrency(), 1u, kMaxJobs);
   jobs = std::min(jobs, std::max(1u, shard_hi - shard_lo));
 
   const auto start = std::chrono::steady_clock::now();

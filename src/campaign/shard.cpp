@@ -150,6 +150,7 @@ CampaignReport parse_shard_report(const std::string& text) {
     }
     if (spec.targets.empty()) malformed("no targets");
   }
+  validate(spec);  // a header the runner would refuse is no campaign it ran
   const Cycle golden_cycles = expect_value<Cycle>(in, "golden_cycles");
   const u64 golden_instructions = expect_value<u64>(in, "golden_instructions");
   const double wall_seconds = expect_value<double>(in, "wall_seconds");

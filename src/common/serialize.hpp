@@ -101,8 +101,13 @@ namespace detail {
 
 /// A type whose bytes are a pure function of its value: the raw branches
 /// below copy it as memory, so padding would leak indeterminate bytes into
-/// the archive.  Floating-point values are raw-copied too (their object
-/// representation is their value for everything the snapshot holds).
+/// the archive.  A plain struct therefore names its padding with `spare`
+/// members (always 0) and needs no serialize_state; a struct that owns a
+/// container, holds a double or is a union keeps one.  A raw-copied struct
+/// holds value state only: no pointer, handle or callback, whose bytes mean
+/// nothing in the machine a snapshot restores into.  Floating-point values
+/// are raw-copied too (their object representation is their value for
+/// everything the snapshot holds).
 template <typename T>
 inline constexpr bool kRawCopyable =
     std::has_unique_object_representations_v<T> || std::is_floating_point_v<T>;
@@ -189,7 +194,8 @@ void serialize_value(Ar& ar, T& value) {
                   !detail::HasSerializeState<Ar, Element> &&
                   std::is_same_v<T, std::vector<Element>>) {
       static_assert(detail::kRawCopyable<Element>,
-                    "raw-copied element has padding: serialize it field by field");
+                    "raw-copied element has padding: name it with spare members, "
+                    "or write a serialize_state");
       u64 count = value.size();
       ar.raw(&count, sizeof count);
       if constexpr (!Ar::kIsWriter) value.resize(static_cast<std::size_t>(count));
@@ -199,7 +205,8 @@ void serialize_value(Ar& ar, T& value) {
     }
   } else if constexpr (std::is_trivially_copyable_v<T>) {
     static_assert(detail::kRawCopyable<T>,
-                  "raw-copied type has padding: serialize it field by field");
+                  "raw-copied type has padding: name it with spare members, "
+                  "or write a serialize_state");
     ar.raw(&value, sizeof value);
   } else {
     static_assert(detail::HasSerializeState<Ar, T>,

@@ -95,16 +95,9 @@ class BranchPredictor {
  private:
   struct BtbEntry {
     bool valid = false;
+    u8 spare[3] = {};  // names the padding: always 0
     Addr pc = 0;
     Addr target = 0;
-
-    /// Snapshot hook, field by field: the struct has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(valid);
-      ar.field(pc);
-      ar.field(target);
-    }
   };
 
   static u32 index(Addr pc, u32 entries) { return (pc >> 2) & (entries - 1); }

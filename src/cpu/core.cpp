@@ -215,8 +215,8 @@ void Core::stage_commit(Cycle now) {
 
     // Syscalls and invalid words have no memory access: their eff_addr and
     // mem_value are still the zeros dispatch cleared them to.
-    const engine::CommitInfo ci{engine::InstrTag{ruu_head_, e.seq}, e.pc,       e.instr,
-                                thread_,                            e.eff_addr, e.mem_value};
+    const engine::CommitInfo ci{engine::InstrTag{.slot = ruu_head_, .seq = e.seq}, e.pc, e.instr,
+                                thread_, e.eff_addr, e.mem_value};
     if (commit_observer_) commit_observer_(now, ci);
     const OpClass cls = e.instr.op_class();
     if (cls == OpClass::kSyscall || e.instr.op == Op::kInvalid) {
@@ -316,8 +316,8 @@ void Core::stage_writeback(Cycle now) {
     if (!e.issued || e.completed || e.complete_at > now) continue;
     e.completed = true;
     if (fw_ && !e.wrong_path) {
-      engine::ExecuteInfo xi{engine::InstrTag{ruu_index(off), e.seq}, e.result, e.eff_addr,
-                             e.is_mem};
+      engine::ExecuteInfo xi{engine::InstrTag{.slot = ruu_index(off), .seq = e.seq}, e.result,
+                             e.eff_addr, e.is_mem};
       fw_->on_execute(xi, now);
     }
     if (e.mispredicted && !e.wrong_path && e.instr.is_control()) {
@@ -337,7 +337,7 @@ void Core::squash_younger_than(u32 offset, Cycle now) {
     const u32 victim_index = ruu_index(ruu_count_ - 1);
     RuuEntry& v = ruu_[victim_index];
     assert(v.valid);
-    if (fw_) fw_->on_squash(engine::InstrTag{victim_index, v.seq}, now);
+    if (fw_) fw_->on_squash(engine::InstrTag{.slot = victim_index, .seq = v.seq}, now);
     if (v.is_mem && !v.wrong_path) --lsq_count_;
     v.valid = false;
     --ruu_count_;
@@ -359,7 +359,7 @@ void Core::flush_all(Cycle now, Addr refetch_pc) {
     if (!e.wrong_path && e.instr.op != Op::kSyscall && e.instr.op != Op::kInvalid) {
       --functional_pos_;
     }
-    if (fw_) fw_->on_squash(engine::InstrTag{index, e.seq}, now);
+    if (fw_) fw_->on_squash(engine::InstrTag{.slot = index, .seq = e.seq}, now);
     e.valid = false;
     ++stats_.squashed;
   }
@@ -511,7 +511,7 @@ void Core::stage_dispatch(Cycle now) {
 
     // Capture operand values and producers before functional execution.
     engine::DispatchInfo di;
-    di.tag = engine::InstrTag{index, e.seq};
+    di.tag = engine::InstrTag{.slot = index, .seq = e.seq};
     di.pc = f.pc;
     di.instr = f.instr;
     di.thread = thread_;

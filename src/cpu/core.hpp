@@ -221,33 +221,27 @@ class Core {
   }
 
  private:
-  // FetchedInstr and RuuEntry have padding, so their snapshot hooks write
-  // them field by field.
+  // FetchedInstr and RuuEntry name their padding (`spare` members, always
+  // 0), so a snapshot copies the fetch buffer and the RUU as one block each.
   struct FetchedInstr {
     Addr pc = 0;
     isa::Instr instr;  // instr.raw is the word as fetched
     bool predicted_taken = false;
+    u8 spare0[3] = {};
     Addr predicted_next = 0;
     bool wrong_path = false;
+    u8 spare1[7] = {};
     Cycle ready_at = 0;  // icache fill time
-
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(pc);
-      ar.field(instr);
-      ar.field(predicted_taken);
-      ar.field(predicted_next);
-      ar.field(wrong_path);
-      ar.field(ready_at);
-    }
   };
 
   struct RuuEntry {
     bool valid = false;
+    u8 spare0[7] = {};
     u64 seq = 0;
     Addr pc = 0;
     isa::Instr instr;  // instr.raw is the word as fetched
     bool wrong_path = false;
+    u8 spare1[3] = {};
 
     // functional results (correct-path only)
     Word result = 0;
@@ -256,16 +250,19 @@ class Core {
     u8 mem_size = 0;
     bool taken = false;
     bool mispredicted = false;
+    u8 spare2 = 0;
     Addr recover_pc = 0;
 
     // register-undo record for CHECK-error flush recovery
     bool has_dest = false;
     u8 dest_reg = 0;
+    u16 spare3 = 0;
     Word old_dest_value = 0;
 
     // scheduling
     bool issued = false;
     bool completed = false;
+    u8 spare4[6] = {};
     Cycle complete_at = 0;
     u32 producer_slot[2] = {0, 0};
     u64 producer_seq[2] = {0, 0};
@@ -273,33 +270,7 @@ class Core {
 
     bool is_mem = false;
     bool is_store = false;
-
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(valid);
-      ar.field(seq);
-      ar.field(pc);
-      ar.field(instr);
-      ar.field(wrong_path);
-      ar.field(result);
-      ar.field(eff_addr);
-      ar.field(mem_value);
-      ar.field(mem_size);
-      ar.field(taken);
-      ar.field(mispredicted);
-      ar.field(recover_pc);
-      ar.field(has_dest);
-      ar.field(dest_reg);
-      ar.field(old_dest_value);
-      ar.field(issued);
-      ar.field(completed);
-      ar.field(complete_at);
-      ar.field(producer_slot);
-      ar.field(producer_seq);
-      ar.field(producer_count);
-      ar.field(is_mem);
-      ar.field(is_store);
-    }
+    u8 spare5[5] = {};
   };
 
   // pipeline stages (called youngest-stage-last each cycle)

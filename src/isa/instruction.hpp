@@ -249,6 +249,7 @@ struct Instr {
   u8 rs = 0;
   u8 rt = 0;
   u8 shamt = 0;
+  u8 spare0[3] = {};  // the spares name the padding: always 0
   i32 imm = 0;     // sign-extended I-type immediate
   u32 target = 0;  // J-type word target
 
@@ -256,24 +257,9 @@ struct Instr {
   ModuleId chk_module = ModuleId::kFramework;
   bool chk_blocking = false;
   u8 chk_op = 0;     // module-specific operation selector (5 bits)
+  u8 spare1 = 0;
   u16 chk_imm = 0;   // config options (12 bits)
-
-  /// Snapshot hook, field by field: the struct has padding.
-  template <class Ar>
-  void serialize_state(Ar& ar) {
-    ar.field(raw);
-    ar.field(op);
-    ar.field(rd);
-    ar.field(rs);
-    ar.field(rt);
-    ar.field(shamt);
-    ar.field(imm);
-    ar.field(target);
-    ar.field(chk_module);
-    ar.field(chk_blocking);
-    ar.field(chk_op);
-    ar.field(chk_imm);
-  }
+  u16 spare2 = 0;
 
   OpClass op_class() const {
     if (op == Op::kSll && rd == 0 && rt == 0 && shamt == 0) return OpClass::kNop;

@@ -92,7 +92,8 @@ class AhbmModule : public engine::Module {
     bool seeded = false;
     bool hung = false;
 
-    /// Snapshot hook, field by field: the struct has padding.
+    /// Snapshot hook, field by field: a struct that holds a double has no
+    /// unique object representation, so it cannot be copied raw.
     template <class Ar>
     void serialize_state(Ar& ar) {
       ar.field(used);

@@ -106,13 +106,6 @@ class CfcModule : public engine::Module {
   struct LastCommit {
     Addr pc = 0;
     isa::Instr instr;
-
-    /// Snapshot hook, field by field: Instr has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(pc);
-      ar.field(instr);
-    }
   };
 
   bool transition_legal(const LastCommit& last, Addr to_pc);

@@ -107,25 +107,11 @@ class IcmModule : public engine::Module {
     bool copy_ready = false;
     bool mismatch = false;
     bool was_hit = false;
+    u8 spare0 = 0;  // the spares name the padding: always 0
     Cycle acquired_at = 0;
     Cycle write_at = 0;  // when the result reaches the IOQ
     enum class State { kAwaitInstr, kLookup, kMemWait, kDone } state = State::kAwaitInstr;
-
-    /// Snapshot hook, field by field: the struct has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(chk_tag);
-      ar.field(inst_tag);
-      ar.field(pc);
-      ar.field(pipeline_copy);
-      ar.field(redundant_copy);
-      ar.field(copy_ready);
-      ar.field(mismatch);
-      ar.field(was_hit);
-      ar.field(acquired_at);
-      ar.field(write_at);
-      ar.field(state);
-    }
+    u32 spare1 = 0;
   };
 
   /// Fully-associative LRU cache of checker-memory words, keyed by PC.

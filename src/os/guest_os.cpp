@@ -343,7 +343,7 @@ void GuestOs::note_slice_start(Cycle now) {
 
 void GuestOs::note_slice_end(Cycle now) {
   if (record_slices_ && current_ != kNoThread && now > slice_started_) {
-    run_slices_.push_back(RunSlice{current_, slice_started_, now});
+    run_slices_.push_back(RunSlice{.thread = current_, .from = slice_started_, .to = now});
   }
 }
 

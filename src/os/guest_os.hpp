@@ -142,16 +142,9 @@ struct RecoveryReport {
 /// execution timelines).
 struct RunSlice {
   ThreadId thread = kNoThread;
+  u32 spare = 0;  // names the padding: always 0
   Cycle from = 0;
   Cycle to = 0;
-
-  /// Snapshot hook, field by field: the struct has padding.
-  template <class Ar>
-  void serialize_state(Ar& ar) {
-    ar.field(thread);
-    ar.field(from);
-    ar.field(to);
-  }
 };
 
 struct OsStats {
@@ -280,20 +273,10 @@ class GuestOs : public cpu::OsClient {
     ThreadId id = 0;
     cpu::ThreadContext ctx;
     ThreadState state = ThreadState::kReady;
+    u8 spare[7] = {};         // names the padding: always 0
     Cycle wake_at = 0;        // kBlockedIo
     ThreadId join_target = kNoThread;
     Addr stack_top = 0;
-
-    /// Snapshot hook, field by field: the struct has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(id);
-      ar.field(ctx);
-      ar.field(state);
-      ar.field(wake_at);
-      ar.field(join_target);
-      ar.field(stack_top);
-    }
   };
 
   void scheduler_tick(Cycle now);

@@ -15,20 +15,12 @@ namespace rse::os {
 
 struct NetworkConfig {
   u32 total_requests = 100;
+  u32 spare0 = 0;                 // the spares name the padding: always 0
   Cycle interarrival = 1500;      // mean gap between request arrivals
   Cycle io_latency_mean = 9000;   // mean backend wait per kNetIo call
   u32 jitter_pct = 40;            // +/- jitter applied to both
+  u32 spare1 = 0;
   u64 seed = 7;
-
-  /// Snapshot hook, field by field: the struct has padding.
-  template <class Ar>
-  void serialize_state(Ar& ar) {
-    ar.field(total_requests);
-    ar.field(interarrival);
-    ar.field(io_latency_mean);
-    ar.field(jitter_pct);
-    ar.field(seed);
-  }
 };
 
 struct NetworkStats {

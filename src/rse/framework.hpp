@@ -158,8 +158,8 @@ class Framework {
       InstrTag squash;
     };
 
-    /// Snapshot hook: the kind, then only the payload the kind selects
-    /// (the rest of the union is indeterminate bytes).
+    /// Snapshot hook: the kind, then only the payload the kind selects,
+    /// copied raw (the rest of the union is indeterminate bytes).
     template <class Ar>
     void serialize_state(Ar& ar) {
       ar.field(kind);

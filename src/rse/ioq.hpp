@@ -39,24 +39,13 @@ class Ioq {
     bool pending_check = false;  // a module owes this entry a result
     bool check_valid = false;
     bool check = false;
+    u32 spare0 = 0;  // the spares name the padding: always 0
     InstrTag tag;
     isa::ModuleId module = isa::ModuleId::kFramework;
+    u8 spare1[7] = {};
     // transition bookkeeping for the self-checking watchdog
     Cycle allocated_at = 0;
     Cycle last_valid_set = 0;
-
-    /// Snapshot hook, field by field: the struct has padding.
-    template <class Ar>
-    void serialize_state(Ar& ar) {
-      ar.field(allocated);
-      ar.field(pending_check);
-      ar.field(check_valid);
-      ar.field(check);
-      ar.field(tag);
-      ar.field(module);
-      ar.field(allocated_at);
-      ar.field(last_valid_set);
-    }
   };
 
   /// unanswered_since() when no entry owes a result.

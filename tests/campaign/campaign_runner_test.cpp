@@ -153,7 +153,8 @@ TEST(CampaignRunner, JsonCarriesEveryShardHeaderKey) {
 
 TEST(CampaignRunner, RunCountsPastTheCapAreConfigErrors) {
   // Checked before the golden run: a campaign preallocates one result per
-  // run, so these would exhaust memory instead.
+  // run, so these would exhaust memory instead, and it would start a worker
+  // thread per job until the host refused one.
   CampaignRunner runner;
   CampaignSpec runs = loop_spec(kMaxRuns + 1);
   EXPECT_THROW(runner.run(runs), ConfigError);
@@ -161,6 +162,10 @@ TEST(CampaignRunner, RunCountsPastTheCapAreConfigErrors) {
   cap.ci_threshold = 0.05;
   cap.ci_max_runs = kMaxRuns + 1;
   EXPECT_THROW(runner.run(cap), ConfigError);
+  CampaignSpec jobs = loop_spec();
+  jobs.jobs = kMaxJobs + 1;
+  EXPECT_THROW(runner.run(jobs), ConfigError);
+  EXPECT_EQ(runner.cache().misses(), 0u);
   // The default refinement cap, 4 x runs, stops at kMaxRuns too.
   CampaignSpec large = loop_spec(kMaxRuns / 2);
   large.ci_threshold = 0.05;

@@ -178,6 +178,41 @@ TEST_F(ForkShardTest, ShardReaderRejectsOutOfRangeRunFields) {
   }
 }
 
+/// `text` with its header line for `key` replaced by "key value".
+std::string with_header_line(const std::string& text, const std::string& key,
+                             const std::string& value) {
+  const std::size_t begin = text.find("\n" + key + " ");
+  if (begin == std::string::npos) {
+    ADD_FAILURE() << "no header line '" << key << "'";
+    return text;
+  }
+  const std::size_t end = text.find('\n', begin + 1);
+  return text.substr(0, begin + 1) + key + " " + value + text.substr(end);
+}
+
+TEST_F(ForkShardTest, ShardReaderRejectsOutOfRangeSpecFields) {
+  // A header the runner would refuse is no campaign it ran, so --merge must
+  // not fold it: an empty campaign, an inverted window, a negative hang
+  // factor, no snapshot bucket, a shard past the count, more jobs than a
+  // campaign starts.
+  const std::string text = campaign::shard_report_text(runner_.run(small_spec("loop", 2)));
+  ASSERT_NO_THROW(campaign::parse_shard_report(text));
+  const std::vector<std::vector<std::pair<std::string, std::string>>> cases = {
+      {{"runs", "0"}},
+      {{"window_lo", "0.9"}, {"window_hi", "0.1"}},
+      {{"hang_factor", "-1"}},
+      {{"snapshot_buckets", "0"}},
+      {{"shard_index", "7"}},
+      {{"jobs", "4000000000"}},
+  };
+  for (const auto& edits : cases) {
+    std::string bad = text;
+    for (const auto& [key, value] : edits) bad = with_header_line(bad, key, value);
+    EXPECT_THROW(campaign::parse_shard_report(bad), SimError)
+        << edits.front().first << " " << edits.front().second;
+  }
+}
+
 TEST_F(ForkShardTest, ShardReaderRejectsUnknownWorkload) {
   // A name the workload table lacks is no campaign to merge, and one with a
   // quote would reach the JSON report unescaped.

@@ -9,7 +9,8 @@
 //    memory image immediately, and — run to completion — finishes
 //    bit-identically to the reference (registers, memory digest, output,
 //    exit code, instruction counts, module statistics).
-// Snapshot points sweep the reference run's cycle buckets, and the
+// Snapshot points sweep the reference run's cycle buckets.  Every
+// default-fork campaign's chain, built twice, must be the same bytes.  The
 // campaign-level test pins the digest of run(), which forks every run by
 // default, to the from-reset campaign's across bucket counts, with
 // --fast-forward both off and on.  DME campaigns fork too: a forked run's trace checker starts
@@ -239,35 +240,6 @@ TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForw
   }
 }
 
-TEST(SnapshotPropertyTest, ChainBytesDependOnlyOnTheRun) {
-  // A snapshot holds value state only, never padding or union bytes no
-  // member owns: two chains of one campaign, built back to back in one
-  // process, are byte-identical.
-  campaign::CampaignSpec spec;
-  spec.workload = "server";
-  spec.static_cfc = true;
-  spec.static_ddt = true;
-  campaign::CampaignRunner runner;
-  const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
-  const auto golden = runner.cache().get(setup);
-  const Cycle budget = golden->cycles * 8 + 20'000;
-  const campaign::SnapshotChain first =
-      runner.build_snapshot_chain(setup, *golden, spec, budget, false);
-  const campaign::SnapshotChain second =
-      runner.build_snapshot_chain(setup, *golden, spec, budget, false);
-  ASSERT_EQ(first.snaps.size(), spec.snapshot_buckets);
-  ASSERT_EQ(second.snaps.size(), first.snaps.size());
-  for (std::size_t i = 0; i < first.snaps.size(); ++i) {
-    const std::vector<u8>& a = first.snaps[i].bytes;
-    const std::vector<u8>& b = second.snaps[i].bytes;
-    EXPECT_EQ(first.snaps[i].at, second.snaps[i].at);
-    ASSERT_EQ(a.size(), b.size()) << "snapshot " << i;
-    std::size_t differing = 0;
-    for (std::size_t k = 0; k < a.size(); ++k) differing += a[k] != b[k];
-    EXPECT_EQ(differing, 0u) << "snapshot " << i << " of " << a.size() << " bytes";
-  }
-}
-
 /// The DME campaign spec the fork tests share.
 campaign::CampaignSpec dme_spec(const char* workload, u32 runs) {
   campaign::CampaignSpec spec;
@@ -391,6 +363,42 @@ std::vector<DefaultForkCase> default_fork_cases() {
   cases.push_back({"server", true});
   cases.push_back({"loop", false, true});
   return cases;
+}
+
+TEST(SnapshotPropertyTest, ChainBytesDependOnlyOnTheRun) {
+  // A snapshot holds value state only, never padding or union bytes no
+  // member owns: two chains of one campaign, built back to back in one
+  // process, are byte-identical.  Every default-fork campaign is checked, so
+  // each struct a snapshot copies raw is checked on a chain that holds it.
+  for (const DefaultForkCase& param : default_fork_cases()) {
+    SCOPED_TRACE(::testing::PrintToString(param));
+    campaign::CampaignSpec spec;
+    spec.workload = param.workload;
+    spec.static_cfc = param.static_tables;
+    spec.static_ddt = param.static_tables;
+    spec.dme = param.dme;
+    campaign::CampaignRunner runner;
+    const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
+    const auto golden = runner.cache().get(setup);
+    const Cycle budget = golden->cycles * 8 + 20'000;
+    const campaign::SnapshotChain first =
+        runner.build_snapshot_chain(setup, *golden, spec, budget, false);
+    const campaign::SnapshotChain second =
+        runner.build_snapshot_chain(setup, *golden, spec, budget, false);
+    // The chk pair's bucket bounds share quiescent cycles: 5 snapshots.
+    const bool chk = param.workload.ends_with("-chk");
+    ASSERT_EQ(first.snaps.size(), chk ? 5u : spec.snapshot_buckets);
+    ASSERT_EQ(second.snaps.size(), first.snaps.size());
+    for (std::size_t i = 0; i < first.snaps.size(); ++i) {
+      const std::vector<u8>& a = first.snaps[i].bytes;
+      const std::vector<u8>& b = second.snaps[i].bytes;
+      EXPECT_EQ(first.snaps[i].at, second.snaps[i].at);
+      ASSERT_EQ(a.size(), b.size()) << "snapshot " << i;
+      std::size_t differing = 0;
+      for (std::size_t k = 0; k < a.size(); ++k) differing += a[k] != b[k];
+      EXPECT_EQ(differing, 0u) << "snapshot " << i << " of " << a.size() << " bytes";
+    }
+  }
 }
 
 class DefaultForkProperty : public ::testing::TestWithParam<DefaultForkCase> {};

@@ -151,7 +151,7 @@ TEST_F(AhbmFixture, FixedTimeoutMode) {
 
 TEST_F(AhbmFixture, ChkInstructionsDriveTheModule) {
   engine::DispatchInfo chk;
-  chk.tag = {0, 1};
+  chk.tag = {.slot = 0, .seq = 1};
   chk.instr.op = isa::Op::kChk;
   chk.instr.chk_module = isa::ModuleId::kAhbm;
   chk.instr.chk_op = kAhbmOpRegister;
@@ -163,13 +163,13 @@ TEST_F(AhbmFixture, ChkInstructionsDriveTheModule) {
   EXPECT_EQ(ahbm->stats().registrations, 1u);
 
   chk.instr.chk_op = kAhbmOpBeat;
-  chk.tag = {1, 2};
+  chk.tag = {.slot = 1, .seq = 2};
   fw.ioq().allocate(chk.tag, true, isa::ModuleId::kAhbm, 1);
   ahbm->on_dispatch(chk, 1);
   EXPECT_EQ(ahbm->stats().beats_received, 1u);
 
   chk.instr.chk_op = kAhbmOpUnregister;
-  chk.tag = {2, 3};
+  chk.tag = {.slot = 2, .seq = 3};
   fw.ioq().allocate(chk.tag, true, isa::ModuleId::kAhbm, 2);
   ahbm->on_dispatch(chk, 2);
   ahbm->beat(5, 10);

@@ -31,7 +31,7 @@ struct DdtFixture : ::testing::Test {
 
   engine::CommitInfo mem_op(ThreadId thread, isa::Op op, Addr addr, u64 seq = 1) {
     engine::CommitInfo info;
-    info.tag = {0, seq};
+    info.tag = {.slot = 0, .seq = seq};
     info.instr.op = op;
     info.thread = thread;
     info.eff_addr = addr;
@@ -312,7 +312,7 @@ TEST_F(DdtFixture, QueryMatrixWritesDdmToGuestMemory) {
   store(2, 0x1000);
   load(1, 0x1000);  // DDM row 2 has bit 1 set
   engine::DispatchInfo chk;
-  chk.tag = {3, 9};
+  chk.tag = {.slot = 3, .seq = 9};
   chk.instr.op = isa::Op::kChk;
   chk.instr.chk_module = isa::ModuleId::kDdt;
   chk.instr.chk_blocking = true;

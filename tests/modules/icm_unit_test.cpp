@@ -27,7 +27,7 @@ struct IcmUnit : ::testing::Test {
 
   engine::DispatchInfo chk(u32 slot, u64 seq) {
     engine::DispatchInfo info;
-    info.tag = {slot, seq};
+    info.tag = {.slot = slot, .seq = seq};
     info.instr.op = isa::Op::kChk;
     info.instr.chk_module = isa::ModuleId::kIcm;
     info.instr.chk_blocking = true;
@@ -36,7 +36,7 @@ struct IcmUnit : ::testing::Test {
 
   engine::DispatchInfo checked(u32 slot, u64 seq, Addr pc, Word raw) {
     engine::DispatchInfo info;
-    info.tag = {slot, seq};
+    info.tag = {.slot = slot, .seq = seq};
     info.pc = pc;
     info.instr = isa::decode(raw);
     return info;
@@ -106,7 +106,7 @@ TEST_F(IcmUnit, BlockFetchBringsNeighborsIntoCache) {
 TEST_F(IcmUnit, SquashedChkDropsPendingCheck) {
   icm->register_checked_instruction(0x400010, 0x01284820);
   fw.on_dispatch(chk(0, 1), clock);
-  fw.on_squash({0, 1}, clock);
+  fw.on_squash({.slot = 0, .seq = 1}, clock);
   for (Cycle c = 0; c < 50; ++c) fw.tick(++clock);
   // No stuck pending state: a later pair still works and the dead CHECK
   // never wrote the IOQ.
@@ -122,8 +122,8 @@ TEST_F(IcmUnit, SquashedCheckedInstructionDropsCheck) {
   fw.on_dispatch(checked(1, 2, 0x400010, 0x01284820), clock);
   ++clock;
   fw.tick(clock);  // the pair is formed
-  fw.on_squash({1, 2}, clock);  // the checked instruction dies (wrong path)
-  fw.on_squash({0, 1}, clock);
+  fw.on_squash({.slot = 1, .seq = 2}, clock);  // the checked instruction dies (wrong path)
+  fw.on_squash({.slot = 0, .seq = 1}, clock);
   for (Cycle c = 0; c < 100; ++c) fw.tick(++clock);
   // The module drained its pending state without writing a freed entry.
   const auto bits = run_pair(6, 11, 0x400010, 0x01284820);

@@ -53,7 +53,7 @@ struct FrameworkFixture : ::testing::Test {
 
   static DispatchInfo make_dispatch(u32 slot, u64 seq, isa::Op op) {
     DispatchInfo info;
-    info.tag = {slot, seq};
+    info.tag = {.slot = slot, .seq = seq};
     info.instr.op = op;
     info.pc = 0x400000 + slot * 4;
     return info;
@@ -61,7 +61,7 @@ struct FrameworkFixture : ::testing::Test {
 
   static DispatchInfo make_chk(u32 slot, u64 seq, isa::ModuleId module, bool blocking) {
     DispatchInfo info;
-    info.tag = {slot, seq};
+    info.tag = {.slot = slot, .seq = seq};
     info.instr.op = isa::Op::kChk;
     info.instr.chk_module = module;
     info.instr.chk_blocking = blocking;
@@ -106,14 +106,14 @@ TEST_F(FrameworkFixture, ChkToAbsentModuleCommitsImmediately) {
 
 TEST_F(FrameworkFixture, ModuleWriteReachesIoq) {
   fw.on_dispatch(make_chk(3, 1, isa::ModuleId::kIcm, true), 5);
-  fw.module_write_ioq(*stub, {3, 1}, true, false, 8);
+  fw.module_write_ioq(*stub, {.slot = 3, .seq = 1}, true, false, 8);
   EXPECT_TRUE(fw.check_bits(3).check_valid);
 }
 
 TEST_F(FrameworkFixture, FrameChkEnablesAndDisablesModulesAtDispatch) {
   stub->set_enabled(false);
   DispatchInfo enable;
-  enable.tag = {0, 1};
+  enable.tag = {.slot = 0, .seq = 1};
   enable.instr.op = isa::Op::kChk;
   enable.instr.chk_module = isa::ModuleId::kFramework;
   enable.instr.chk_op = kFrameOpEnableModule;
@@ -125,7 +125,7 @@ TEST_F(FrameworkFixture, FrameChkEnablesAndDisablesModulesAtDispatch) {
   EXPECT_FALSE(fw.check_bits(1).check_valid);
 
   DispatchInfo disable = enable;
-  disable.tag = {2, 3};
+  disable.tag = {.slot = 2, .seq = 3};
   disable.instr.chk_op = kFrameOpDisableModule;
   fw.on_dispatch(disable, 11);
   EXPECT_FALSE(stub->enabled());
@@ -134,7 +134,7 @@ TEST_F(FrameworkFixture, FrameChkEnablesAndDisablesModulesAtDispatch) {
 
   // Wrong-path enable CHECKs never take effect.
   DispatchInfo speculative = enable;
-  speculative.tag = {3, 4};
+  speculative.tag = {.slot = 3, .seq = 4};
   speculative.wrong_path = true;
   fw.on_dispatch(speculative, 12);
   EXPECT_FALSE(stub->enabled());
@@ -143,7 +143,7 @@ TEST_F(FrameworkFixture, FrameChkEnablesAndDisablesModulesAtDispatch) {
 TEST_F(FrameworkFixture, CommitFreesIoqAndNotifiesModules) {
   fw.on_dispatch(make_dispatch(1, 1, isa::Op::kAdd), 5);
   CommitInfo info;
-  info.tag = {1, 1};
+  info.tag = {.slot = 1, .seq = 1};
   info.instr.op = isa::Op::kAdd;
   fw.on_commit(info, 8);
   fw.tick(9);
@@ -154,7 +154,7 @@ TEST_F(FrameworkFixture, CommitFreesIoqAndNotifiesModules) {
 TEST_F(FrameworkFixture, StoreCommitStallIsSynchronousAndSummed) {
   stub->store_stall = 7;
   CommitInfo store;
-  store.tag = {1, 1};
+  store.tag = {.slot = 1, .seq = 1};
   store.instr.op = isa::Op::kSw;
   const Cycle stall = fw.on_commit(store, 8);
   EXPECT_EQ(stall, 7u);
@@ -170,7 +170,7 @@ TEST_F(FrameworkFixture, DisabledModuleGetsNoEvents) {
 
 TEST_F(FrameworkFixture, SquashFreesEntriesAndNotifies) {
   fw.on_dispatch(make_chk(2, 1, isa::ModuleId::kIcm, true), 5);
-  fw.on_squash({2, 1}, 6);
+  fw.on_squash({.slot = 2, .seq = 1}, 6);
   fw.tick(7);
   ASSERT_EQ(stub->squashes.size(), 1u);
   EXPECT_FALSE(fw.ioq().entry(2).allocated);
@@ -180,18 +180,18 @@ TEST_F(FrameworkFixture, SquashFreesEntriesAndNotifies) {
 TEST_F(FrameworkFixture, ModuleFaultModesRewriteResults) {
   fw.on_dispatch(make_chk(1, 1, isa::ModuleId::kIcm, true), 0);
   stub->inject_fault(ModuleFaultMode::kFalseAlarm);
-  fw.module_write_ioq(*stub, {1, 1}, true, false, 2);
+  fw.module_write_ioq(*stub, {.slot = 1, .seq = 1}, true, false, 2);
   EXPECT_TRUE(fw.check_bits(1).check);
 
   fw.on_dispatch(make_chk(2, 2, isa::ModuleId::kIcm, true), 0);
   stub->inject_fault(ModuleFaultMode::kFalseNegative);
-  fw.module_write_ioq(*stub, {2, 2}, true, true, 2);
+  fw.module_write_ioq(*stub, {.slot = 2, .seq = 2}, true, true, 2);
   EXPECT_TRUE(fw.check_bits(2).check_valid);
   EXPECT_FALSE(fw.check_bits(2).check);
 
   fw.on_dispatch(make_chk(3, 3, isa::ModuleId::kIcm, true), 0);
   stub->inject_fault(ModuleFaultMode::kNoProgress);
-  fw.module_write_ioq(*stub, {3, 3}, true, false, 2);
+  fw.module_write_ioq(*stub, {.slot = 3, .seq = 3}, true, false, 2);
   EXPECT_FALSE(fw.check_bits(3).check_valid);
 }
 

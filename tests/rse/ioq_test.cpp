@@ -6,7 +6,7 @@
 namespace rse::engine {
 namespace {
 
-InstrTag tag(u32 slot, u64 seq) { return InstrTag{slot, seq}; }
+InstrTag tag(u32 slot, u64 seq) { return InstrTag{.slot = slot, .seq = seq}; }
 
 TEST(Ioq, FreeEntryReadsZero) {
   Ioq ioq(16);

@@ -40,7 +40,7 @@ SilentModule* wire(Framework& fw) {
 
 DispatchInfo chk(u32 slot, u64 seq) {
   DispatchInfo info;
-  info.tag = {slot, seq};
+  info.tag = {.slot = slot, .seq = seq};
   info.instr.op = isa::Op::kChk;
   info.instr.chk_module = isa::ModuleId::kIcm;
   info.instr.chk_blocking = true;
@@ -52,9 +52,9 @@ DispatchInfo chk(u32 slot, u64 seq) {
 /// squashes the CHECK.
 void raise_alarm(Framework& fw, Module& module, u32 slot, u64 seq, Cycle now) {
   fw.on_dispatch(chk(slot, seq), now);
-  fw.module_write_ioq(module, {slot, seq}, true, true, now);
+  fw.module_write_ioq(module, {.slot = slot, .seq = seq}, true, true, now);
   fw.on_check_error(slot, now);
-  fw.on_squash({slot, seq}, now);
+  fw.on_squash({.slot = slot, .seq = seq}, now);
 }
 
 struct SelfCheckFixture : ::testing::Test {
@@ -100,9 +100,9 @@ TEST_F(SelfCheckFixture, NoProgressModuleTripsWatchdog) {
 
 TEST_F(SelfCheckFixture, HealthyCheckDoesNotTrip) {
   fw.on_dispatch(chk(0, 1), 0);
-  fw.module_write_ioq(*module, {0, 1}, true, false, 5);
+  fw.module_write_ioq(*module, {.slot = 0, .seq = 1}, true, false, 5);
   CommitInfo info;
-  info.tag = {0, 1};
+  info.tag = {.slot = 0, .seq = 1};
   info.instr.op = isa::Op::kChk;
   info.instr.chk_module = isa::ModuleId::kIcm;
   fw.on_commit(info, 10);
@@ -118,9 +118,9 @@ TEST_F(SelfCheckFixture, FalseAlarmStormTripsThresholdCounter) {
   // watchdog window.
   for (u64 retry = 1; retry <= 5 && !fw.safe_mode(); ++retry) {
     fw.on_dispatch(chk(0, retry), 10 * retry);
-    fw.module_write_ioq(*module, {0, retry}, true, true, 10 * retry + 1);
-    fw.on_check_error(0, 10 * retry + 2);      // commit observed the error
-    fw.on_squash({0, retry}, 10 * retry + 2);  // the flush squashes the CHECK
+    fw.module_write_ioq(*module, {.slot = 0, .seq = retry}, true, true, 10 * retry + 1);
+    fw.on_check_error(0, 10 * retry + 2);                     // commit observed the error
+    fw.on_squash({.slot = 0, .seq = retry}, 10 * retry + 2);  // the flush squashes the CHECK
     fw.tick(10 * retry + 3);
   }
   EXPECT_TRUE(fw.safe_mode());
@@ -137,7 +137,7 @@ TEST_F(SelfCheckFixture, StuckAt1CheckFieldStormAlsoTrips) {
   for (u64 retry = 1; retry <= 5 && !fw.safe_mode(); ++retry) {
     fw.on_dispatch(chk(0, retry), 10 * retry);
     fw.on_check_error(0, 10 * retry + 2);
-    fw.on_squash({0, retry}, 10 * retry + 2);
+    fw.on_squash({.slot = 0, .seq = retry}, 10 * retry + 2);
     fw.tick(10 * retry + 3);
   }
   EXPECT_TRUE(fw.safe_mode());
@@ -172,7 +172,7 @@ TEST_F(SelfCheckFixture, StuckAt0CheckValidLooksLikeNoProgress) {
   // no progress — and is handled by the same watchdog path.
   fw.ioq().inject_stuck_fault(0, IoqStuckFault::kCheckValidStuck0);
   fw.on_dispatch(chk(0, 1), 0);
-  fw.module_write_ioq(*module, {0, 1}, true, false, 2);  // module DID answer
+  fw.module_write_ioq(*module, {.slot = 0, .seq = 1}, true, false, 2);  // module DID answer
   for (Cycle c = 1; c <= 200 && !fw.safe_mode(); ++c) fw.tick(c);
   EXPECT_TRUE(fw.safe_mode());
   EXPECT_EQ(fw.verdict(), SelfCheckVerdict::kNoProgress);
@@ -184,7 +184,7 @@ TEST_F(SelfCheckFixture, SafeModeOverridesAllSubsequentWrites) {
   for (Cycle c = 1; c <= 150; ++c) fw.tick(c);
   ASSERT_TRUE(fw.safe_mode());
   fw.on_dispatch(chk(1, 2), 200);
-  fw.module_write_ioq(*module, {1, 2}, true, true, 201);  // module says error
+  fw.module_write_ioq(*module, {.slot = 1, .seq = 2}, true, true, 201);  // module says error
   EXPECT_TRUE(fw.check_bits(1).check_valid);
   EXPECT_FALSE(fw.check_bits(1).check);  // safe mode: always commit
 }
@@ -202,7 +202,7 @@ TEST_F(SelfCheckFixture, RecoupleRestoresChecking) {
   for (Cycle c = 1; c <= 150; ++c) fw.tick(c);
   ASSERT_TRUE(fw.safe_mode());
   CommitInfo info;
-  info.tag = {0, 1};
+  info.tag = {.slot = 0, .seq = 1};
   info.instr.op = isa::Op::kChk;
   info.instr.chk_module = isa::ModuleId::kIcm;
   fw.on_commit(info, 160);

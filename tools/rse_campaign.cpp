@@ -6,7 +6,8 @@
 //                           kmeans-large | server                  (kmeans)
 //     --runs <n>            number of injected runs, 1..10^6       (256)
 //     --seed <n>            campaign seed                          (1)
-//     --jobs <n>            worker threads, 0 = hardware           (0)
+//     --jobs <n>            worker threads, 0..256; 0 = all        (0)
+//                           hardware threads, at most 256
 //     --targets a,b,...     subset of reg,instr,data,config        (all)
 //     --hang-factor <f>     cycle budget = f x golden cycles       (8)
 //     --runs-csv <path>     per-run CSV export
@@ -69,7 +70,7 @@ using namespace rse;
 namespace {
 
 int usage() {
-  std::cerr << "usage: rse_campaign [--workload NAME] [--runs N] [--seed N] [--jobs N]\n"
+  std::cerr << "usage: rse_campaign [--workload NAME] [--runs N] [--seed N] [--jobs 0..256]\n"
             << "  [--targets reg,instr,data,config] [--hang-factor F] [--static-cfc]\n"
             << "  [--static-ddt] [--flat-footprint] [--context-depth N] [--field-sensitive]\n"
             << "  [--no-field-sensitive] [--fast-forward] [--snapshot-buckets N]\n"
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       spec.seed = tools::uint_arg<u64>(arg, value());
     } else if (arg == "--jobs") {
-      spec.jobs = tools::uint_arg<u32>(arg, value());
+      spec.jobs = tools::uint_arg<u32>(arg, value(), 0, campaign::kMaxJobs);
     } else if (arg == "--hang-factor") {
       spec.hang_factor = tools::real_arg(arg, value(), 0.0, 1e6);
     } else if (arg == "--static-cfc") {
