@@ -33,15 +33,21 @@ void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run)
       }
     }
   };
+  // The calling thread is one of the `jobs` workers.  A host that refuses a
+  // thread leaves the work to the ones already running: every index still
+  // runs once, into its own slot, whatever number of threads started.
   const u32 pool_size = std::min(jobs, hi - lo);
-  if (pool_size <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(pool_size);
-    for (u32 j = 0; j < pool_size; ++j) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+  std::vector<std::thread> helpers;
+  helpers.reserve(pool_size > 1 ? pool_size - 1 : 0);
+  for (u32 j = 1; j < pool_size; ++j) {
+    try {
+      helpers.emplace_back(worker);
+    } catch (const std::exception&) {
+      break;
+    }
   }
+  worker();
+  for (std::thread& t : helpers) t.join();
   if (failure == nullptr) return;
   const std::string run_name = "run " + std::to_string(failed_index) + ": ";
   try {

@@ -59,10 +59,12 @@ struct FastForwardStats {
 };
 
 /// Call `run(index)` once for every index in [lo, hi) on up to `jobs` worker
-/// threads (the calling thread alone for one), handing indices out through
-/// one atomic counter.  Every index runs even after a call throws; after the
-/// workers join, the exception of the lowest index that threw is rethrown as
-/// SimError("run <index>: <what>"), the same error for any `jobs`.
+/// threads, the calling thread among them, handing indices out through one
+/// atomic counter.  If the host refuses a thread, the threads already
+/// working finish the range.  Every index runs even after a call throws;
+/// after the workers join, the exception of the lowest index that threw is
+/// rethrown as SimError("run <index>: <what>"), the same error for any
+/// `jobs`.
 void for_each_run(u32 lo, u32 hi, u32 jobs, const std::function<void(u32)>& run);
 
 /// The number of records the core has delivered to its commit observer

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace rse {
@@ -21,18 +22,24 @@ class RingBuffer {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Push to the back.  Precondition: !full().
-  void push(T value) {
+  /// Push a value-initialized element to the back and return it, for the
+  /// caller to fill in place.  Precondition: !full().
+  T& emplace_back() {
     assert(!full());
-    slots_[(head_ + size_) % slots_.size()] = std::move(value);
+    T& slot = slots_[wrap(head_ + size_)];
+    slot = T{};
     ++size_;
+    return slot;
   }
+
+  /// Push to the back.  Precondition: !full().
+  void push(T value) { emplace_back() = std::move(value); }
 
   /// Pop from the front.  Precondition: !empty().
   T pop() {
     assert(!empty());
     T value = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return value;
   }
@@ -50,12 +57,12 @@ class RingBuffer {
   /// Element `i` positions behind the front (0 == front).
   const T& at(std::size_t i) const {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
 
   T& at(std::size_t i) {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
 
   void clear() {
@@ -72,11 +79,20 @@ class RingBuffer {
     u64 size = size_;
     ar.field(head);
     ar.field(size);
+    if (head >= slots_.size() || size > slots_.size()) {
+      throw SimError("RingBuffer: snapshot head or size past the capacity");
+    }
     head_ = static_cast<std::size_t>(head);
     size_ = static_cast<std::size_t>(size);
   }
 
  private:
+  /// An index below twice the capacity, wrapped into the ring with a
+  /// compare and a subtract: no divide on the cycle's path.
+  std::size_t wrap(std::size_t index) const {
+    return index < slots_.size() ? index : index - slots_.size();
+  }
+
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -84,7 +84,7 @@ std::vector<std::pair<Addr, u32>> Core::inflight_ranges() const {
     ranges.emplace_back(fetch_buffer_.at(i).pc, 4u);
   }
   for (u32 offset = 0; offset < ruu_count_; ++offset) {
-    const RuuEntry& entry = ruu_[(ruu_head_ + offset) % config_.ruu_size];
+    const RuuEntry& entry = ruu_[ruu_index(offset)];
     if (!entry.valid) continue;
     ranges.emplace_back(entry.pc, 4u);
     if (entry.is_store && !entry.wrong_path && entry.mem_size != 0) {
@@ -304,7 +304,7 @@ void Core::free_head_entry(RuuEntry& e) {
     reg_producer_seq_[e.dest_reg] = 0;
   }
   e.valid = false;
-  ruu_head_ = (ruu_head_ + 1) % config_.ruu_size;
+  ruu_head_ = ruu_index(1);
   --ruu_count_;
 }
 
@@ -404,7 +404,7 @@ Cycle Core::issue_load(RuuEntry& e, u32 offset, Cycle now) {
   // partial overlap); otherwise the load accesses the D-cache.
   const WordBytes load = word_bytes(e.eff_addr, e.mem_size);
   for (u32 off = offset; off-- > 0;) {
-    const RuuEntry& s = ruu_[(ruu_head_ + off) % config_.ruu_size];
+    const RuuEntry& s = ruu_[ruu_index(off)];
     if (!s.valid || !s.is_store || s.wrong_path) continue;
     const u32 shared = shared_bytes(load, word_bytes(s.eff_addr, s.mem_size));
     if (shared != 0) {
@@ -420,8 +420,12 @@ void Core::stage_issue(Cycle now) {
   u32 alu_used = 0;
   u32 mem_used = 0;
   bool mdu_used = false;
+  bool store_waiting = false;  // a store older than `off` has not issued
+  const RuuEntry* older = nullptr;  // the entry at `off - 1`
   for (u32 off = 0; off < ruu_count_ && issued < config_.issue_width; ++off) {
+    if (older != nullptr) store_waiting |= older->valid && older->is_store && !older->issued;
     RuuEntry& e = ruu_at(off);
+    older = &e;
     if (e.issued || !entry_ready(e)) continue;
     const OpClass cls = e.wrong_path ? OpClass::kIntAlu : e.instr.op_class();
     switch (cls) {
@@ -434,17 +438,8 @@ void Core::stage_issue(Cycle now) {
         break;
       }
       case OpClass::kLoad: {
-        if (mem_used == config_.mem_ports) continue;
         // Loads wait until all older stores have computed their addresses.
-        bool blocked = false;
-        for (u32 older = 0; older < off; ++older) {
-          const RuuEntry& s = ruu_at(older);
-          if (s.valid && s.is_store && !s.issued) {
-            blocked = true;
-            break;
-          }
-        }
-        if (blocked) continue;
+        if (mem_used == config_.mem_ports || store_waiting) continue;
         ++mem_used;
         e.complete_at = issue_load(e, off, now);
         break;
@@ -500,7 +495,7 @@ void Core::stage_dispatch(Cycle now) {
           f.instr.chk_module != isa::ModuleId::kIcm));
     if (serializing && ruu_count_ > 0) break;  // wait until the pipeline is empty
 
-    const u32 index = (ruu_head_ + ruu_count_) % config_.ruu_size;
+    const u32 index = ruu_index(ruu_count_);
     RuuEntry& e = ruu_[index];
     e = RuuEntry{};
     e.valid = true;
@@ -577,7 +572,7 @@ void Core::stage_fetch(Cycle now) {
     }
     const Cycle done = il1_->access(now, fetch_pc_, 4, /*write=*/false);
 
-    FetchedInstr f;
+    FetchedInstr& f = fetch_buffer_.emplace_back();
     f.pc = fetch_pc_;
     f.instr = isa::decode(raw);
     f.wrong_path = wrong_path_mode_;
@@ -613,7 +608,6 @@ void Core::stage_fetch(Cycle now) {
         break;
     }
 
-    fetch_buffer_.push(f);
     fetch_pc_ = f.predicted_next;
     ++fetched;
 

@@ -281,7 +281,12 @@ class Core {
   void stage_fetch(Cycle now);
 
   // helpers
-  u32 ruu_index(u32 offset) const { return (ruu_head_ + offset) % config_.ruu_size; }
+  /// The RUU slot `offset` entries behind the head (offset <= ruu_size),
+  /// wrapped with a compare and a subtract: no divide on the cycle's path.
+  u32 ruu_index(u32 offset) const {
+    const u32 index = ruu_head_ + offset;
+    return index < config_.ruu_size ? index : index - config_.ruu_size;
+  }
   RuuEntry& ruu_at(u32 offset) { return ruu_[ruu_index(offset)]; }
   bool ruu_full() const { return ruu_count_ == config_.ruu_size; }
 

@@ -23,57 +23,6 @@ constexpr std::array<Op, 64> kByOpcode = ops_by_code(false);
 
 }  // namespace
 
-std::optional<u8> Instr::dest_reg() const {
-  u8 reg = 0;
-  switch (op_info(op).format) {
-    case Format::kRdRsRt:
-    case Format::kRdRtRs:
-    case Format::kRdRtSa:
-    case Format::kRdRs:
-      reg = rd;
-      break;
-    case Format::kRtRsImm:
-    case Format::kRtImm:
-    case Format::kLoad:
-      reg = rt;
-      break;
-    case Format::kCall:
-      reg = kRa;
-      break;
-    default:
-      break;
-  }
-  return reg == 0 ? std::nullopt : std::optional<u8>(reg);
-}
-
-Instr::Sources Instr::source_regs() const {
-  Sources s;
-  auto add = [&s](u8 r) { s.regs[s.count++] = r; };
-  switch (op_info(op).format) {
-    case Format::kRdRsRt:
-    case Format::kRdRtRs:
-    case Format::kStore:
-    case Format::kBranch:
-      add(rs);
-      add(rt);
-      break;
-    case Format::kRdRtSa:
-      add(rt);
-      break;
-    case Format::kRs:
-    case Format::kRdRs:
-    case Format::kRtRsImm:
-    case Format::kLoad:
-    case Format::kChk:  // the CHK parameter register
-      add(rs);
-      break;
-    // syscall reads v0/a0..a3 but is serializing; model no renaming sources
-    default:
-      break;
-  }
-  return s;
-}
-
 Instr decode(Word raw) {
   Instr in;
   in.raw = raw;

@@ -267,14 +267,54 @@ struct Instr {
   }
 
   /// Destination register written by this instruction, or nullopt.
-  std::optional<u8> dest_reg() const;
+  std::optional<u8> dest_reg() const {
+    u8 reg = 0;
+    switch (op_info(op).format) {
+      case Format::kRdRsRt:
+      case Format::kRdRtRs:
+      case Format::kRdRtSa:
+      case Format::kRdRs:
+        reg = rd;
+        break;
+      case Format::kRtRsImm:
+      case Format::kRtImm:
+      case Format::kLoad:
+        reg = rt;
+        break;
+      case Format::kCall:
+        reg = kRa;
+        break;
+      default:
+        break;
+    }
+    return reg == 0 ? std::nullopt : std::optional<u8>(reg);
+  }
 
   /// Source registers read (0, 1, or 2 entries; r0 reads are included).
   struct Sources {
     u8 count = 0;
     u8 regs[2] = {0, 0};
   };
-  Sources source_regs() const;
+  Sources source_regs() const {
+    switch (op_info(op).format) {
+      case Format::kRdRsRt:
+      case Format::kRdRtRs:
+      case Format::kStore:
+      case Format::kBranch:
+        return {2, {rs, rt}};
+      case Format::kRdRtSa:
+        return {1, {rt, 0}};
+      case Format::kRs:
+      case Format::kRdRs:
+      case Format::kRtRsImm:
+      case Format::kLoad:
+      case Format::kChk:  // the CHK parameter register
+        return {1, {rs, 0}};
+      // syscall reads v0/a0..a3 but is serializing; model no renaming sources
+      default:
+        return {};
+    }
+  }
 
   bool is_control() const {
     const OpClass c = op_class();

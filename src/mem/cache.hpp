@@ -55,7 +55,8 @@ class BusMemory : public MemLevel {
   BusSource source_;
 };
 
-class Cache : public MemLevel {
+/// `final`, so a call through a Cache pointer (the core's L1s) is direct.
+class Cache final : public MemLevel {
  public:
   Cache(CacheConfig config, MemLevel& next);
 

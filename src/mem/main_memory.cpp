@@ -6,17 +6,23 @@
 namespace rse::mem {
 
 u8* MainMemory::page_ptr(Addr addr) {
-  auto& slot = pages_[page_of(addr)];
+  const u32 page = page_of(addr);
+  CachedPage& cached = page_cache_[cache_slot(page)];
+  if (cached.page == page) return cached.data;
+  auto& slot = pages_[page];
   if (!slot) {
     slot = std::make_unique<u8[]>(kPageBytes);
     std::memset(slot.get(), 0, kPageBytes);
   }
+  cached = {page, slot.get()};
   return slot.get();
 }
 
-const u8* MainMemory::page_ptr_or_null(Addr addr) const {
-  auto it = pages_.find(page_of(addr));
-  return it == pages_.end() ? nullptr : it->second.get();
+const u8* MainMemory::find_page(u32 page) const {
+  auto it = pages_.find(page);
+  if (it == pages_.end()) return nullptr;
+  page_cache_[cache_slot(page)] = {page, it->second.get()};
+  return it->second.get();
 }
 
 u8 MainMemory::read_u8(Addr addr) const {
@@ -26,18 +32,6 @@ u8 MainMemory::read_u8(Addr addr) const {
 
 u16 MainMemory::read_u16(Addr addr) const {
   return static_cast<u16>(read_u8(addr) | (read_u8(addr + 1) << 8));
-}
-
-u32 MainMemory::read_u32(Addr addr) const {
-  // Fast path: whole word within one page.
-  const u8* p = page_ptr_or_null(addr);
-  const u32 off = addr & (kPageBytes - 1);
-  if (p && off + 4 <= kPageBytes) {
-    u32 v;
-    std::memcpy(&v, p + off, 4);
-    return v;
-  }
-  return static_cast<u32>(read_u16(addr)) | (static_cast<u32>(read_u16(addr + 2)) << 16);
 }
 
 void MainMemory::write_u8(Addr addr, u8 value) { page_ptr(addr)[addr & (kPageBytes - 1)] = value; }

@@ -1,9 +1,12 @@
 // Functional main memory: a sparse, page-granular byte store for the guest's
 // 32-bit address space.  Timing is modeled separately (BusArbiter / Cache);
-// this class answers "what value lives at address A" only.
+// this class answers "what value lives at address A" only.  Reads update a
+// page cache, so one MainMemory serves one thread at a time, reads included
+// (each simulated machine owns its memory).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -22,9 +25,20 @@ constexpr Addr page_base(u32 page) { return page << kPageShift; }
 
 class MainMemory {
  public:
+  MainMemory() = default;
+  // Not copyable or movable: the page cache names pages this object owns.
+  MainMemory(const MainMemory&) = delete;
+  MainMemory& operator=(const MainMemory&) = delete;
+
   u8 read_u8(Addr addr) const;
   u16 read_u16(Addr addr) const;
-  u32 read_u32(Addr addr) const;
+  u32 read_u32(Addr addr) const {
+    const u32 off = addr & (kPageBytes - 1);
+    if (off + 4 > kPageBytes) return read_u16(addr) | (u32{read_u16(addr + 2)} << 16);
+    u32 value = 0;
+    if (const u8* p = page_ptr_or_null(addr)) std::memcpy(&value, p + off, 4);
+    return value;
+  }
 
   void write_u8(Addr addr, u8 value);
   void write_u16(Addr addr, u16 value);
@@ -74,6 +88,7 @@ class MainMemory {
       }
     } else {
       pages_.clear();
+      page_cache_.fill(CachedPage{});
       u64 count = 0;
       ar.raw(&count, sizeof count);
       for (u64 i = 0; i < count; ++i) {
@@ -85,11 +100,37 @@ class MainMemory {
   }
 
  private:
+  /// One entry of the page cache: a page number and its data.
+  struct CachedPage {
+    u32 page = ~0u;  // no page number reaches this: pages are 20-bit
+    u8* data = nullptr;
+  };
+  static constexpr u32 kCachedPageBits = 8;
+
+  /// A page's entry in the page cache.  The guest's segments start at
+  /// multiples of large powers of two (text 0x400000, data 0x10000000, the
+  /// ICM's checker memory 0xC0000000), so a multiplicative hash picks the
+  /// entry: the page number's low bits alone would put every segment's
+  /// first page in one entry.
+  static u32 cache_slot(u32 page) { return (page * 0x9E37'79B1u) >> (32 - kCachedPageBits); }
+
   u8* page_ptr(Addr addr);
-  const u8* page_ptr_or_null(Addr addr) const;
+  const u8* page_ptr_or_null(Addr addr) const {
+    const u32 page = page_of(addr);
+    const CachedPage& cached = page_cache_[cache_slot(page)];
+    return cached.page == page ? cached.data : find_page(page);
+  }
+  /// The map lookup behind page_ptr_or_null, for a page the cache lacks:
+  /// caches the page if it exists.
+  const u8* find_page(u32 page) const;
 
   // unique_ptr to fixed arrays keeps page data stable across rehashing.
   std::unordered_map<u32, std::unique_ptr<u8[]>> pages_;
+  /// A direct-mapped cache of pages_ (see cache_slot), so most accesses
+  /// skip the map.  It names allocated pages only, so allocating a page
+  /// cannot leave an entry stale; the one place pages are dropped
+  /// (serialize_state's restore) clears it.
+  mutable std::array<CachedPage, std::size_t{1} << kCachedPageBits> page_cache_{};
 };
 
 }  // namespace rse::mem

@@ -51,6 +51,7 @@ class AhbmModule : public engine::Module {
 
   isa::ModuleId id() const override { return isa::ModuleId::kAhbm; }
   const char* name() const override { return "AHBM"; }
+  engine::HookSet hooks() const override { return {engine::Hook::kDispatch, engine::Hook::kTick}; }
 
   void set_hang_handler(HangHandler handler) { on_hang_ = std::move(handler); }
 

@@ -66,6 +66,7 @@ class CfcModule : public engine::Module {
 
   isa::ModuleId id() const override { return isa::ModuleId::kCfc; }
   const char* name() const override { return "CFC"; }
+  engine::HookSet hooks() const override { return {engine::Hook::kCommit}; }
 
   void set_violation_handler(ViolationHandler handler) { on_violation_ = std::move(handler); }
   void set_text_range(Addr lo, Addr hi) {

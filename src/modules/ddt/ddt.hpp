@@ -104,6 +104,9 @@ class DdtModule : public engine::Module {
 
   isa::ModuleId id() const override { return isa::ModuleId::kDdt; }
   const char* name() const override { return "DDT"; }
+  engine::HookSet hooks() const override {
+    return {engine::Hook::kDispatch, engine::Hook::kCommit, engine::Hook::kStoreCommit};
+  }
 
   void set_save_page_handler(SavePageHandler handler) { on_save_page_ = std::move(handler); }
   void set_footprint_violation_handler(FootprintViolationHandler handler) {

@@ -56,6 +56,9 @@ class IcmModule : public engine::Module {
 
   isa::ModuleId id() const override { return isa::ModuleId::kIcm; }
   const char* name() const override { return "ICM"; }
+  engine::HookSet hooks() const override {
+    return {engine::Hook::kDispatch, engine::Hook::kSquash, engine::Hook::kTick};
+  }
 
   // ---- load-time interface (the "static parse") ----
   /// Register a checked instruction: appends its binary to CheckerMemory

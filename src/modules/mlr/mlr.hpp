@@ -68,6 +68,9 @@ class MlrModule : public engine::Module {
 
   isa::ModuleId id() const override { return isa::ModuleId::kMlr; }
   const char* name() const override { return "MLR"; }
+  engine::HookSet hooks() const override {
+    return {engine::Hook::kDispatch, engine::Hook::kSquash, engine::Hook::kTick};
+  }
 
   void on_dispatch(const engine::DispatchInfo& info, Cycle now) override;
   void on_squash(const engine::InstrTag& tag, Cycle now) override;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/error.hpp"
+
 namespace rse::engine {
 
 Framework::Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries)
@@ -13,9 +15,17 @@ Framework::Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entr
       free_high_since_(ruu_entries, 0) {}
 
 void Framework::add_module(std::unique_ptr<Module> module) {
+  if (!events_.empty()) {
+    throw SimError(std::string("Framework::add_module: events are pending, which module '") +
+                   module->name() + "' would never receive");
+  }
   const auto id = static_cast<std::size_t>(module->id());
   assert(id < by_id_.size() && by_id_[id] == nullptr);
   by_id_[id] = module.get();
+  const HookSet hooks = module->hooks();
+  for (unsigned hook = 0; hook < kNumHooks; ++hook) {
+    if (hooks.has(static_cast<Hook>(hook))) subscribers_[hook].push_back(module.get());
+  }
   modules_.push_back(std::move(module));
 }
 
@@ -51,11 +61,9 @@ void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   }
   ioq_.allocate(info.tag, pending, is_chk ? info.instr.chk_module : isa::ModuleId::kFramework,
                 now);
-  events_.push(Event::Kind::kDispatch, now + 1).dispatch = info;
-}
-
-void Framework::on_execute(const ExecuteInfo& info, Cycle now) {
-  events_.push(Event::Kind::kExecute, now + 1).execute = info;
+  if (!subscribers(Hook::kDispatch).empty()) {
+    events_.push(Event::Kind::kDispatch, now + 1).dispatch = info;
+  }
 }
 
 Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
@@ -65,11 +73,13 @@ Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
   if (is_store) {
     // SavePage-style checks must intercept the store before it writes
     // memory, so store commits are delivered synchronously.
-    for (auto& module : modules_) {
+    for (Module* module : subscribers(Hook::kStoreCommit)) {
       if (module->enabled()) stall += module->on_store_commit(info, now);
     }
   }
-  events_.push(Event::Kind::kCommit, now + 1).commit = info;
+  if (!subscribers(Hook::kCommit).empty()) {
+    events_.push(Event::Kind::kCommit, now + 1).commit = info;
+  }
   // The IOQ entry is freed as the commit signal removes the instruction's
   // data from the input queues (section 3.1).
   ioq_.free(info.tag);
@@ -79,12 +89,9 @@ Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
 void Framework::on_squash(const InstrTag& tag, Cycle now) {
   ++stats_.squashes_seen;
   ioq_.free(tag);
-  events_.push(Event::Kind::kSquash, now + 1).squash = tag;
-}
-
-Ioq::CheckBits Framework::check_bits(u32 slot) const {
-  if (safe_mode_) return Ioq::CheckBits{true, false};
-  return ioq_.observed(slot);
+  if (!subscribers(Hook::kSquash).empty()) {
+    events_.push(Event::Kind::kSquash, now + 1).squash = tag;
+  }
 }
 
 void Framework::module_write_ioq(Module& module, const InstrTag& tag, bool check_valid,
@@ -136,14 +143,27 @@ void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
 }
 
 void Framework::deliver(const Event& event, Cycle now) {
-  for (auto& module : modules_) {
-    if (!module->enabled()) continue;
-    switch (event.kind) {
-      case Event::Kind::kDispatch: module->on_dispatch(event.dispatch, now); break;
-      case Event::Kind::kExecute: module->on_execute(event.execute, now); break;
-      case Event::Kind::kCommit: module->on_commit(event.commit, now); break;
-      case Event::Kind::kSquash: module->on_squash(event.squash, now); break;
-    }
+  switch (event.kind) {
+    case Event::Kind::kDispatch:
+      for (Module* module : subscribers(Hook::kDispatch)) {
+        if (module->enabled()) module->on_dispatch(event.dispatch, now);
+      }
+      break;
+    case Event::Kind::kExecute:
+      for (Module* module : subscribers(Hook::kExecute)) {
+        if (module->enabled()) module->on_execute(event.execute, now);
+      }
+      break;
+    case Event::Kind::kCommit:
+      for (Module* module : subscribers(Hook::kCommit)) {
+        if (module->enabled()) module->on_commit(event.commit, now);
+      }
+      break;
+    case Event::Kind::kSquash:
+      for (Module* module : subscribers(Hook::kSquash)) {
+        if (module->enabled()) module->on_squash(event.squash, now);
+      }
+      break;
   }
 }
 
@@ -155,7 +175,7 @@ void Framework::tick(Cycle now) {
     deliver(event, now);
   }
   mau_.tick(now);
-  for (auto& module : modules_) {
+  for (Module* module : subscribers(Hook::kTick)) {
     if (module->enabled()) module->tick(now);
   }
   if (selfcheck_.enabled && !safe_mode_ && selfcheck_due(now)) run_selfcheck(now);

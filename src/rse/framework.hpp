@@ -5,9 +5,10 @@
 // enable/disable unit, and the self-checking watchdog.  The simulated core
 // calls the on_* methods as instructions move through the pipeline; the
 // machine ticks the framework once per cycle after the core.  Each call
-// becomes one event, and an event pushed by the core in cycle N becomes
-// visible to modules in cycle N+1 (the input latch of Table 3), in the order
-// the core pushed them.
+// becomes one event when some registered module declares its hook
+// (Module::hooks), and an event pushed by the core in cycle N becomes
+// visible to the declaring modules in cycle N+1 (the input latch of
+// Table 3), in the order the core pushed them.
 #pragma once
 
 #include <array>
@@ -70,6 +71,9 @@ class Framework {
   Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries);
 
   // ---- construction-time wiring ----
+  /// Register a module and subscribe it to the hooks it declares, after
+  /// the modules already registered.  Throws SimError while events are
+  /// pending: the new module would miss the ones queued before it.
   void add_module(std::unique_ptr<Module> module);
   Module* module(isa::ModuleId id) const;
   Mau& mau() { return mau_; }
@@ -84,7 +88,11 @@ class Framework {
 
   // ---- pipeline-facing interface ----
   void on_dispatch(const DispatchInfo& info, Cycle now);
-  void on_execute(const ExecuteInfo& info, Cycle now);
+  void on_execute(const ExecuteInfo& info, Cycle now) {
+    if (!subscribers(Hook::kExecute).empty()) {
+      events_.push(Event::Kind::kExecute, now + 1).execute = info;
+    }
+  }
 
   /// Commit notification.  For stores, called before the value reaches
   /// memory; the returned stall is charged to the commit stage (SavePage).
@@ -101,7 +109,10 @@ class Framework {
 
   /// The check bits the commit unit observes for a slot (constant (1,0) once
   /// the framework has decoupled itself into safe mode).
-  Ioq::CheckBits check_bits(u32 slot) const;
+  Ioq::CheckBits check_bits(u32 slot) const {
+    if (safe_mode_) return Ioq::CheckBits{true, false};
+    return ioq_.observed(slot);
+  }
 
   // ---- module-facing interface ----
   /// Write a module's check result to the IOQ, applying any injected module
@@ -119,6 +130,9 @@ class Framework {
   void recouple();
 
   const FrameworkStats& stats() const { return stats_; }
+
+  /// Events queued and not yet delivered.
+  std::size_t pending_events() const { return events_.size(); }
 
   /// Reset transient state between guest runs (modules, events, IOQ).
   void reset();
@@ -196,6 +210,7 @@ class Framework {
       return event;
     }
     bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     const Event& front() const { return ring_[head_]; }
     void pop() {
       head_ = (head_ + 1) & (ring_.size() - 1);
@@ -229,6 +244,10 @@ class Framework {
     std::size_t size_ = 0;
   };
 
+  /// The modules that declare `hook`, in registration order.
+  const std::vector<Module*>& subscribers(Hook hook) const {
+    return subscribers_[static_cast<unsigned>(hook)];
+  }
   void deliver(const Event& event, Cycle now);
   void handle_frame_chk(const isa::Instr& instr, Cycle now);
   bool selfcheck_due(Cycle now) const;
@@ -240,6 +259,7 @@ class Framework {
   Mau mau_;
   std::vector<std::unique_ptr<Module>> modules_;
   std::array<Module*, isa::kNumModuleIds> by_id_{};
+  std::array<std::vector<Module*>, kNumHooks> subscribers_;
 
   EventStream events_;
 

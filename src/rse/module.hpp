@@ -9,6 +9,8 @@
 // permanent state on the commit signal.
 #pragma once
 
+#include <initializer_list>
+
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 #include "rse/frame_types.hpp"
@@ -26,6 +28,36 @@ enum class ModuleFaultMode : u8 {
   kFalseNegative,  // the module always declares "no error"
 };
 
+/// The pipeline hooks a module can implement.  The framework pays for a
+/// hook only while some registered module declares it (Module::hooks).
+enum class Hook : u8 {
+  kDispatch,     // on_dispatch
+  kExecute,      // on_execute
+  kCommit,       // on_commit
+  kStoreCommit,  // on_store_commit
+  kSquash,       // on_squash
+  kTick,         // tick
+};
+inline constexpr unsigned kNumHooks = 6;
+
+/// A set of Hooks.
+class HookSet {
+ public:
+  constexpr HookSet(std::initializer_list<Hook> hooks) {
+    for (Hook hook : hooks) bits_ |= bit(hook);
+  }
+  static constexpr HookSet all() {
+    HookSet set{};
+    set.bits_ = (1u << kNumHooks) - 1;
+    return set;
+  }
+  constexpr bool has(Hook hook) const { return (bits_ & bit(hook)) != 0; }
+
+ private:
+  static constexpr u8 bit(Hook hook) { return static_cast<u8>(1u << static_cast<u8>(hook)); }
+  u8 bits_ = 0;
+};
+
 class Module {
  public:
   explicit Module(Framework& framework) : fw_(&framework) {}
@@ -36,6 +68,13 @@ class Module {
 
   virtual isa::ModuleId id() const = 0;
   virtual const char* name() const = 0;
+
+  /// The hooks this module implements.  Framework::add_module reads it
+  /// once: a hook is called only on the modules that declare it, and an
+  /// event is queued only for a kind some registered module declares, so a
+  /// module that overrides a hook must declare it or never see its calls.
+  /// The default declares every hook.
+  virtual HookSet hooks() const { return HookSet::all(); }
 
   /// Advance internal pipelines/counters by one cycle.
   virtual void tick(Cycle /*now*/) {}

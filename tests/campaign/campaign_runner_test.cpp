@@ -4,7 +4,13 @@
 // pool's error reporting.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -298,6 +304,47 @@ TEST(ForEachRun, NoFailureMeansNoError) {
   std::vector<std::atomic<u32>> calls(16);
   EXPECT_EQ(pool_error(0, 16, 4, [](u32) {}, calls), "");
   EXPECT_EQ(pool_error(3, 3, 4, [](u32) { throw 1; }, calls), "");
+}
+
+/// The death test's child: lower the address-space limit to leave room for
+/// one more thread stack only, so for_each_run's second helper thread is
+/// refused, then run 64 indices on 8 requested workers.  Exits 0 when every
+/// index ran exactly once.
+[[noreturn]] void run_with_room_for_one_thread() {
+  std::vector<std::atomic<u32>> calls(64);
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  if (pthread_getattr_default_np(&attr) != 0) std::_Exit(3);
+  const int got = pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  if (got != 0) std::_Exit(3);
+  // The first field of statm: the address-space size, in pages.
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  if (!(statm >> pages)) std::_Exit(4);
+  const rlim_t limit =
+      pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) + stack_bytes * 3 / 2;
+  const rlimit lowered{limit, limit};
+  if (setrlimit(RLIMIT_AS, &lowered) != 0) std::_Exit(5);
+  for_each_run(0, 64, 8, [&](u32 index) { calls[index].fetch_add(1); });
+  for (const std::atomic<u32>& count : calls) {
+    if (count.load() != 1) std::_Exit(1);
+  }
+  std::_Exit(0);
+}
+
+// A host that refuses worker threads must not end the process: the threads
+// that started, the calling thread among them, still run every index once.
+// Sanitizer runtimes reserve far more address space than the limit leaves.
+TEST(ForEachRunDeathTest, RefusedThreadsLeaveTheRangeToTheOthers) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes need an unlimited address space";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes need an unlimited address space";
+#endif
+#endif
+  EXPECT_EXIT(run_with_room_for_one_thread(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(GoldenCache, DistinctWorkloadsGetDistinctGoldenRuns) {

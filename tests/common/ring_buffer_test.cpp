@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/rng.hpp"
+
 namespace rse {
 namespace {
 
@@ -67,6 +71,64 @@ TEST(RingBuffer, ClearResets) {
   EXPECT_TRUE(rb.empty());
   rb.push(7);
   EXPECT_EQ(rb.front(), 7);
+}
+
+TEST(RingBuffer, EmplaceBackBuildsAFreshElementInPlace) {
+  RingBuffer<int> rb(2);
+  rb.push(5);
+  EXPECT_EQ(rb.pop(), 5);
+  rb.push(6);
+  int& slot = rb.emplace_back();  // reuses the slot that held 5
+  EXPECT_EQ(slot, 0);
+  slot = 7;
+  EXPECT_EQ(rb.at(1), 7);
+  EXPECT_TRUE(rb.full());
+}
+
+// Random push, emplace, pop and at sequences against std::deque, for every
+// capacity from 1 to 7: the wrap holds whether or not the capacity is a
+// power of two.
+TEST(RingBuffer, MatchesDequeUnderRandomOperations) {
+  for (std::size_t capacity = 1; capacity <= 7; ++capacity) {
+    Xorshift64 rng(capacity);
+    RingBuffer<int> rb(capacity);
+    std::deque<int> model;
+    int next = 1;
+    for (int step = 0; step < 2000; ++step) {
+      switch (rng.next_below(4)) {
+        case 0:
+          if (!rb.full()) {
+            rb.push(next);
+            model.push_back(next++);
+          }
+          break;
+        case 1:
+          if (!rb.full()) {
+            rb.emplace_back() = next;
+            model.push_back(next++);
+          }
+          break;
+        case 2:
+          if (!rb.empty()) {
+            ASSERT_EQ(rb.pop(), model.front()) << "capacity " << capacity << ", step " << step;
+            model.pop_front();
+          }
+          break;
+        default:
+          if (!rb.empty()) {
+            const std::size_t i = rng.next_below(model.size());
+            rb.at(i) = next;
+            model[i] = next++;
+          }
+          break;
+      }
+      ASSERT_EQ(rb.size(), model.size()) << "capacity " << capacity << ", step " << step;
+      ASSERT_EQ(rb.full(), model.size() == capacity);
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(rb.at(i), model[i]) << "capacity " << capacity << ", step " << step;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "isa/assembler.hpp"
 
 namespace rse::engine {
@@ -202,6 +205,120 @@ TEST_F(FrameworkFixture, ResetClearsModulesAndQueues) {
   EXPECT_EQ(stub->resets, 1u);
   fw.tick(6);
   EXPECT_TRUE(stub->dispatches.empty());  // pending events dropped
+}
+
+/// Declares `hooks` but overrides every hook, logging each call it receives
+/// (its name, then the hook) into a log it may share with other modules.
+class DeclaringModule : public Module {
+ public:
+  using Log = std::vector<std::pair<std::string, Hook>>;
+  DeclaringModule(Framework& fw, isa::ModuleId id, std::string name, HookSet hooks, Log& log)
+      : Module(fw), id_(id), name_(std::move(name)), hooks_(hooks), log_(&log) {}
+
+  isa::ModuleId id() const override { return id_; }
+  const char* name() const override { return name_.c_str(); }
+  HookSet hooks() const override { return hooks_; }
+
+  void on_dispatch(const DispatchInfo&, Cycle) override { record(Hook::kDispatch); }
+  void on_execute(const ExecuteInfo&, Cycle) override { record(Hook::kExecute); }
+  void on_commit(const CommitInfo&, Cycle) override { record(Hook::kCommit); }
+  Cycle on_store_commit(const CommitInfo&, Cycle) override {
+    record(Hook::kStoreCommit);
+    return 0;
+  }
+  void on_squash(const InstrTag&, Cycle) override { record(Hook::kSquash); }
+  void tick(Cycle) override { record(Hook::kTick); }
+
+ private:
+  void record(Hook hook) { log_->emplace_back(name_, hook); }
+
+  isa::ModuleId id_;
+  std::string name_;
+  HookSet hooks_;
+  Log* log_;
+};
+
+struct DeclaredHooksTest : ::testing::Test {
+  mem::MainMemory memory;
+  mem::BusArbiter bus{mem::BusTiming{19, 3, 8}};
+  Framework fw{memory, bus, 16};
+  DeclaringModule::Log log;
+
+  DeclaringModule* add(isa::ModuleId id, std::string name, HookSet hooks) {
+    auto module = std::make_unique<DeclaringModule>(fw, id, std::move(name), hooks, log);
+    DeclaringModule* raw = module.get();
+    fw.add_module(std::move(module));
+    raw->set_enabled(true);
+    return raw;
+  }
+
+  /// One event of every kind at cycle 10, a store commit among them; the
+  /// tick of cycle 11 delivers them.
+  void push_every_kind() {
+    fw.on_dispatch(FrameworkFixture::make_dispatch(1, 1, isa::Op::kSw), 10);
+    fw.on_execute(ExecuteInfo{.tag = {.slot = 1, .seq = 1}, .eff_addr = 0x1000, .is_mem = true},
+                  10);
+    CommitInfo store;
+    store.tag = {.slot = 1, .seq = 1};
+    store.instr.op = isa::Op::kSw;
+    fw.on_commit(store, 10);
+    fw.on_dispatch(FrameworkFixture::make_dispatch(2, 2, isa::Op::kAdd), 10);
+    fw.on_squash({.slot = 2, .seq = 2}, 10);
+  }
+};
+
+TEST_F(DeclaredHooksTest, AModuleDeclaringOnlyCommitReceivesOnlyCommits) {
+  add(isa::ModuleId::kCfc, "commit-only", {Hook::kCommit});
+  push_every_kind();
+  fw.tick(11);
+  const DeclaringModule::Log expected = {{"commit-only", Hook::kCommit}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(fw.stats().dispatches_seen, 2u);  // the taps still count every event
+  EXPECT_EQ(fw.stats().squashes_seen, 1u);
+}
+
+TEST_F(DeclaredHooksTest, EachHookReachesItsDeclarersInRegistrationOrder) {
+  add(isa::ModuleId::kIcm, "a", {Hook::kCommit, Hook::kTick});
+  add(isa::ModuleId::kCfc, "b", HookSet::all());
+  add(isa::ModuleId::kDdt, "c", {Hook::kStoreCommit, Hook::kSquash, Hook::kCommit});
+  push_every_kind();
+  const DeclaringModule::Log synchronous = {{"b", Hook::kStoreCommit}, {"c", Hook::kStoreCommit}};
+  EXPECT_EQ(log, synchronous);
+  log.clear();
+  fw.tick(11);
+  const DeclaringModule::Log expected = {
+      {"b", Hook::kDispatch}, {"b", Hook::kExecute}, {"a", Hook::kCommit},
+      {"b", Hook::kCommit},   {"c", Hook::kCommit},  {"b", Hook::kDispatch},
+      {"b", Hook::kSquash},   {"c", Hook::kSquash},  {"a", Hook::kTick},
+      {"b", Hook::kTick}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST_F(DeclaredHooksTest, NoEventIsQueuedForAKindNoModuleDeclares) {
+  add(isa::ModuleId::kCfc, "commit-only", {Hook::kCommit});
+  fw.on_dispatch(FrameworkFixture::make_dispatch(1, 1, isa::Op::kAdd), 10);
+  fw.on_execute(ExecuteInfo{.tag = {.slot = 1, .seq = 1}}, 10);
+  fw.on_dispatch(FrameworkFixture::make_dispatch(2, 2, isa::Op::kAdd), 10);
+  fw.on_squash({.slot = 2, .seq = 2}, 10);
+  EXPECT_EQ(fw.pending_events(), 0u);
+  EXPECT_TRUE(fw.ioq().entry(1).allocated);  // the IOQ still tracks the dispatch
+  CommitInfo commit;
+  commit.tag = {.slot = 1, .seq = 1};
+  commit.instr.op = isa::Op::kAdd;
+  fw.on_commit(commit, 10);
+  EXPECT_EQ(fw.pending_events(), 1u);
+}
+
+TEST_F(DeclaredHooksTest, AddModuleIsRefusedWhileEventsArePending) {
+  add(isa::ModuleId::kCfc, "commit-only", {Hook::kCommit});
+  CommitInfo commit;
+  commit.instr.op = isa::Op::kAdd;
+  fw.on_commit(commit, 10);
+  ASSERT_EQ(fw.pending_events(), 1u);
+  EXPECT_THROW(add(isa::ModuleId::kIcm, "late", HookSet::all()), SimError);
+  fw.tick(11);
+  EXPECT_EQ(fw.pending_events(), 0u);
+  EXPECT_NO_THROW(add(isa::ModuleId::kIcm, "in-time", HookSet::all()));
 }
 
 }  // namespace
