@@ -215,36 +215,52 @@ u64 commit_records(os::Machine& machine, const os::GuestOs& guest) {
 }
 
 /// What a run's prefix may start from.  Neither source: every run starts
-/// from reset.  A chain: the latest snapshot at or before the injection
-/// cycle (checkpoint-fork).  A boundary map: a fast-engine prefix up to the
-/// injection cycle (fast-forward).
+/// from reset.  A boundary map: a fast-engine prefix up to the injection
+/// cycle (fast-forward).  A chain: the latest snapshot at or before the
+/// injection cycle (checkpoint-fork), for every run that does not take a
+/// fast-engine prefix.
 struct CampaignRunner::Prefixes {
   const SnapshotChain* chain = nullptr;
   const exec::FastForwardController::BoundaryMap* boundaries = nullptr;
 };
 
-/// The prefix one run starts from: a snapshot, a fast-forward boundary, or
-/// (both null) reset, with the reason it fell back to reset if it did.
+/// The prefix one run starts from: a fast-forward boundary, a snapshot, or
+/// (both null) reset, with the reason it did not take the fast-forward
+/// prefix it was offered, if it did not.
 struct CampaignRunner::Route {
   const os::MachineSnapshot* snapshot = nullptr;
   const exec::FastForwardController::Boundary* boundary = nullptr;
   Fallback fallback = kNoFallback;
 };
 
+namespace {
+
+/// The latest snapshot of `chain` (may be null) a run injected at `record`
+/// may start from, or null.  No prefix may end past the hang budget: a
+/// from-reset run stops there without applying its fault, and every route
+/// must observe the same.
+const os::MachineSnapshot* latest_snapshot(const SnapshotChain* chain,
+                                           const InjectionRecord& record, Cycle budget) {
+  if (chain == nullptr) return nullptr;
+  const os::MachineSnapshot* latest = nullptr;
+  for (const os::MachineSnapshot& snap : chain->snaps) {
+    if (snap.at > record.inject_cycle || snap.at > budget) break;
+    latest = &snap;
+  }
+  return latest;
+}
+
+}  // namespace
+
 CampaignRunner::Route CampaignRunner::route(const GoldenRun& golden,
                                             const InjectionRecord& record, Cycle budget,
                                             const Prefixes& prefixes) {
-  // No prefix may end past the hang budget: a from-reset run stops there
-  // without applying its fault, and every route must observe the same.
-  if (prefixes.chain != nullptr) {
-    Route latest{.fallback = kUnmapped};
-    for (const os::MachineSnapshot& snap : prefixes.chain->snaps) {
-      if (snap.at > record.inject_cycle || snap.at > budget) break;
-      latest = Route{.snapshot = &snap};
-    }
-    return latest;
-  }
-  if (prefixes.boundaries == nullptr) return Route{};
+  // A run that takes no fast-engine prefix forks from the chain, or starts
+  // from reset without one.
+  const auto fall_back = [&](Fallback why) {
+    return Route{.snapshot = latest_snapshot(prefixes.chain, record, budget), .fallback = why};
+  };
+  if (prefixes.boundaries == nullptr) return fall_back(kNoFallback);
 
   // Register-bit faults fast-forward whenever their cycle is mapped;
   // instruction-/data-word faults fast-forward unless the word was in flight
@@ -258,14 +274,14 @@ CampaignRunner::Route CampaignRunner::route(const GoldenRun& golden,
   const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
                             record.target == InjectTarget::kDataWord;
   if (record.target != InjectTarget::kRegisterBit && !memory_fault) {
-    return Route{.fallback = kTarget};
+    return fall_back(kTarget);
   }
   const auto boundary = prefixes.boundaries->find(record.inject_cycle);
   if (record.inject_cycle >= budget || boundary == prefixes.boundaries->end()) {
-    return Route{.fallback = kUnmapped};
+    return fall_back(kUnmapped);
   }
   if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
-    return Route{.fallback = kConflict};
+    return fall_back(kConflict);
   }
   // An instruction-word fault on an ICM-checked instruction (one preceded
   // by a `chk icm`) stays classic: the ICM compares the fetched word at
@@ -281,7 +297,7 @@ CampaignRunner::Route CampaignRunner::route(const GoldenRun& golden,
     if (prev < golden.program.text.size()) {
       const isa::Instr before = isa::decode(golden.program.text[prev]);
       if (before.op == isa::Op::kChk && before.chk_module == isa::ModuleId::kIcm) {
-        return Route{.fallback = kChecked};
+        return fall_back(kChecked);
       }
     }
   }
@@ -295,25 +311,29 @@ RunResult CampaignRunner::run_pipeline(const WorkloadSetup& setup, const GoldenR
   Route route = CampaignRunner::route(golden, record, budget, prefixes);
   std::optional<BootedGuest> boot(std::in_place, setup, golden.program, budget,
                                   golden.analysis);
-  if (route.snapshot != nullptr) {
-    // Restore failures are campaign bugs, not guest crashes: let them escape
-    // rather than classify as kCrash (run() reports them with the run index).
-    os::MachineSnapshot::restore(*route.snapshot, boot->machine, boot->guest);
-    forked_.fetch_add(1, std::memory_order_relaxed);
-  } else if (route.boundary != nullptr) {
+  if (route.boundary != nullptr) {
     exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
     if (!exec::FastForwardController::fast_forward_to(boot->guest, golden.program,
                                                       route.boundary->position,
                                                       record.inject_cycle, nullptr, &bail)) {
       // Fast mode bailed (a syscall outside the whitelist, early exit, an
-      // illegal word) and left the guest unusable: start again from reset.
+      // illegal word) and left the guest unusable: boot again and fork, or
+      // run from reset.
       switch (bail) {
-        case exec::FastSession::BailReason::kSyscall: route = Route{.fallback = kSyscall}; break;
-        case exec::FastSession::BailReason::kIllegal: route = Route{.fallback = kIllegal}; break;
-        case exec::FastSession::BailReason::kNone: route = Route{.fallback = kOther}; break;
+        case exec::FastSession::BailReason::kSyscall: route.fallback = kSyscall; break;
+        case exec::FastSession::BailReason::kIllegal: route.fallback = kIllegal; break;
+        case exec::FastSession::BailReason::kNone: route.fallback = kOther; break;
       }
+      route.boundary = nullptr;
+      route.snapshot = latest_snapshot(prefixes.chain, record, budget);
       boot.emplace(setup, golden.program, budget, golden.analysis);
     }
+  }
+  if (route.snapshot != nullptr) {
+    // Restore failures are campaign bugs, not guest crashes: let them escape
+    // rather than classify as kCrash (run() reports them with the run index).
+    os::MachineSnapshot::restore(*route.snapshot, boot->machine, boot->guest);
+    forked_.fetch_add(1, std::memory_order_relaxed);
   }
   if (prefixes.boundaries != nullptr) {
     ff_counts_[route.fallback].fetch_add(1, std::memory_order_relaxed);
@@ -477,7 +497,7 @@ CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_
       golden->selfcheck_trips == 0 && golden->os_recoveries == 0 &&
       golden->ddt_footprint_violations == 0 && dme_baseline_clean;
   const bool use_fast_forward = !from_reset && spec.fast_forward && golden_baseline_clean;
-  const bool use_fork = !from_reset && !use_fast_forward && dme_baseline_clean;
+  bool use_fork = !from_reset && dme_baseline_clean;
   if (use_fast_forward) {
     std::vector<Cycle> cycles;
     for (u32 i = shard_lo; i < shard_hi; ++i) {
@@ -492,6 +512,15 @@ CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_
       boundaries = exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles));
     }
     prefixes = Prefixes{nullptr, &boundaries};
+    // The runs that fast-forward cannot take fork from the chain, so it is
+    // built only if some run falls back before it starts: one route() turns
+    // away here, or any CI-refinement run (its index has no boundary).  A
+    // fast-engine bail forks too when there is a chain, and otherwise runs
+    // from reset.
+    use_fork = spec.ci_threshold > 0.0 && max_runs(spec) > spec.runs;
+    for (u32 i = shard_lo; i < shard_hi && !use_fork; ++i) {
+      use_fork = route(*golden_ptr, plan.record(i), budget, prefixes).fallback != kNoFallback;
+    }
   }
 
   u32 jobs =
@@ -505,7 +534,7 @@ CampaignReport CampaignRunner::run_campaign(const CampaignSpec& spec, bool from_
   SnapshotChain chain;
   if (use_fork) {
     chain = build_snapshot_chain(setup, *golden, spec, budget, /*use_fast_forward=*/false);
-    prefixes = Prefixes{&chain};
+    prefixes.chain = &chain;
   }
 
   // Execute plan indices [lo, hi), appending to `results` in index order.

@@ -36,9 +36,13 @@ struct SnapshotChain {
 };
 
 /// Fallback accounting for the fast-forward path, aggregated over one run()
-/// call (reset at campaign start).  Purely observational — the classified
-/// outcomes and the deterministic digest never depend on which path a run
-/// took — but it answers "why wasn't this campaign faster?" precisely.
+/// call (reset at campaign start).  A fallback is a run offered a fast-engine
+/// prefix that did not take it: it forks from the latest chain snapshot at
+/// or before its injection cycle, or starts from reset when the campaign has
+/// no chain (run_one_fast_forward never has one).  Purely observational —
+/// the classified outcomes, cycles and the deterministic digest never depend
+/// on which path a run took — but it answers "why wasn't this campaign
+/// faster?" precisely.
 struct FastForwardStats {
   u64 fast = 0;               // prefixes that ran on the fast engine
   u64 fallback_target = 0;    // ineligible fault target (config faults)
@@ -87,11 +91,14 @@ class CampaignRunner {
   /// Execute a whole campaign: golden run (cached), plan, parallel fan-out,
   /// classification, aggregation.  A run's fault-free prefix comes from the
   /// first of these that applies:
-  ///  - spec.fast_forward and a clean golden (and DME) baseline: the fast
-  ///    engine (run_one_fast_forward);
+  ///  - spec.fast_forward, a clean golden (and DME) baseline, and a run the
+  ///    fast engine can carry to its injection cycle: the fast engine (as
+  ///    run_one_fast_forward);
   ///  - a DME baseline that does not diverge (every non-DME campaign): the
   ///    latest snapshot of build_snapshot_chain's chain at or before the
-  ///    injection cycle (checkpoint-fork, run_one_forked);
+  ///    injection cycle (checkpoint-fork, as run_one_forked).  A
+  ///    fast-forward campaign builds the chain only when some run of its
+  ///    range falls back before it starts, or CI refinement may add runs;
   ///  - reset.
   /// The classified outcome never depends on the prefix, and a forked run
   /// reproduces the from-reset run's cycles as well (docs/campaigns.md).
@@ -128,7 +135,8 @@ class CampaignRunner {
   /// boundary reports no in-flight overlap take the fast prefix.
   /// Everything else (config faults, cycles the fault-free run never
   /// reaches or the hang budget cuts off, in-flight conflicts, fast-mode
-  /// bails) starts from reset.  The `schedule` parameter is unused; it
+  /// bails) starts from reset here; run() forks those from its chain
+  /// instead, with the same result.  The `schedule` parameter is unused; it
   /// stays only because perfbench/ passes it.
   RunResult run_one_fast_forward(const WorkloadSetup& setup, const GoldenRun& golden,
                                  const InjectionRecord& record, Cycle budget,
@@ -142,7 +150,8 @@ class CampaignRunner {
   FastForwardStats fast_forward_stats() const;
 
   /// Runs of the most recent run() (or the run_one_forked calls since then)
-  /// that restored a chain snapshot.  Not part of any digest.
+  /// that restored a chain snapshot, fast-forward fallbacks included.  Not
+  /// part of any digest.
   u64 forked_runs() const;
 
   /// Checkpoint-fork: restore the latest chain snapshot at or before the
@@ -177,9 +186,10 @@ class CampaignRunner {
   struct Prefixes;  // what a run's prefix may start from (runner.cpp)
   struct Route;     // the prefix one run starts from, and why (runner.cpp)
 
-  /// Why a run starts from reset rather than the prefix it was offered;
-  /// kNoFallback when it took that prefix.  Indexes ff_counts_, in
-  /// FastForwardStats order (which keeps an always-zero suspend count).
+  /// Why a run offered a fast-forward prefix did not take it (it forks, or
+  /// starts from reset without a chain); kNoFallback when it took it, or
+  /// was offered none.  Indexes ff_counts_, in FastForwardStats order (which
+  /// keeps an always-zero suspend count).
   enum Fallback : u8 {
     kNoFallback,
     kTarget,

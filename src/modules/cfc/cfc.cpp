@@ -41,16 +41,22 @@ bool CfcModule::transition_legal(const LastCommit& last, Addr to_pc) {
 }
 
 void CfcModule::on_commit(const engine::CommitInfo& info, Cycle now) {
-  auto [it, inserted] = last_.try_emplace(info.thread);
-  if (!inserted) {
+  bool first = false;  // the thread's first commit: no transition to check
+  if (current_ == nullptr || current_->first != info.thread) {
+    const auto [it, inserted] = last_.try_emplace(info.thread);
+    current_ = &*it;
+    first = inserted;
+  }
+  LastCommit& last = current_->second;
+  if (!first) {
     ++stats_.transitions_checked;
-    if (!transition_legal(it->second, info.pc)) {
+    if (!transition_legal(last, info.pc)) {
       ++stats_.violations;
-      if (on_violation_) on_violation_(info.thread, it->second.pc, info.pc, now);
+      if (on_violation_) on_violation_(info.thread, last.pc, info.pc, now);
     }
   }
-  it->second.pc = info.pc;
-  it->second.instr = info.instr;
+  last.pc = info.pc;
+  last.instr = info.instr;
 }
 
 }  // namespace rse::modules

@@ -84,11 +84,15 @@ class CfcModule : public engine::Module {
   // load-time configuration (text range, successor table) survives.
   void reset() override {
     last_.clear();
+    current_ = nullptr;
     stats_ = CfcStats{};
   }
 
   /// Forget a terminated thread's stream state.
-  void forget_thread(ThreadId thread) { last_.erase(thread); }
+  void forget_thread(ThreadId thread) {
+    last_.erase(thread);
+    current_ = nullptr;
+  }
 
   const CfcStats& stats() const { return stats_; }
 
@@ -101,6 +105,7 @@ class CfcModule : public engine::Module {
     ar.field(stats_);
     ar.field(successors_);
     ar.field(last_);
+    current_ = nullptr;  // a restore rebuilds last_
   }
 
  private:
@@ -116,6 +121,11 @@ class CfcModule : public engine::Module {
   ViolationHandler on_violation_;
   CfcSuccessorTable successors_;
   std::unordered_map<ThreadId, LastCommit> last_;
+  // The entry (thread and stream) of the thread that committed last, or null
+  // to look it up, so a thread that commits again skips the hash.  Map nodes
+  // never move; every call that erases or rebuilds last_ drops it.  Not in a
+  // snapshot.
+  std::unordered_map<ThreadId, LastCommit>::value_type* current_ = nullptr;
 };
 
 }  // namespace rse::modules

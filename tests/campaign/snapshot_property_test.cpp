@@ -18,7 +18,9 @@
 // run delivers to the commit observer by then, and a forked DME campaign
 // must reproduce the from-reset one run for run.  Last, run()'s default
 // prefix is pinned on every workload: each run forks, and each equals the
-// from-reset run, cycles included.
+// from-reset run, cycles included; and under --fast-forward each run that
+// does not take the fast prefix forks, and equals the same fallback started
+// from reset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -344,16 +346,46 @@ TEST(SnapshotPropertyTest, ForkedDmeCampaignMatchesFromReset) {
 }
 
 /// One campaign of the default-prefix pin: a workload, with both static
-/// tables or with DME.
+/// tables or with DME.  The fast-forward pin adds a campaign with CI
+/// refinement (`refine`).
 struct DefaultForkCase {
   std::string workload;
   bool static_tables = false;
   bool dme = false;
+  bool refine = false;
 };
 
 void PrintTo(const DefaultForkCase& param, std::ostream* os) {
   *os << param.workload << (param.static_tables ? " --static-cfc --static-ddt" : "")
-      << (param.dme ? " --dme" : "");
+      << (param.dme ? " --dme" : "") << (param.refine ? " --ci-threshold 0.1" : "");
+}
+
+std::string case_name(const ::testing::TestParamInfo<DefaultForkCase>& info) {
+  std::string name = info.param.workload;
+  std::replace(name.begin(), name.end(), '-', '_');
+  if (info.param.static_tables) name += "_static";
+  if (info.param.dme) name += "_dme";
+  if (info.param.refine) name += "_ci";
+  return name;
+}
+
+/// The 16-run campaign both prefix pins run for a case.
+campaign::CampaignSpec case_spec(const DefaultForkCase& param) {
+  campaign::CampaignSpec spec;
+  spec.workload = param.workload;
+  spec.runs = 16;
+  spec.seed = 1;
+  spec.jobs = 2;
+  spec.hang_factor = 2.0;  // a hung run costs about two golden runs
+  spec.static_cfc = param.static_tables;
+  spec.static_ddt = param.static_tables;
+  spec.dme = param.dme;
+  if (param.refine) {
+    spec.ci_threshold = 0.1;
+    spec.ci_batch = 8;
+    spec.ci_max_runs = 32;
+  }
+  return spec;
 }
 
 std::vector<DefaultForkCase> default_fork_cases() {
@@ -407,16 +439,7 @@ class DefaultForkProperty : public ::testing::TestWithParam<DefaultForkCase> {};
 // snapshot is at cycle 0 on every workload, and each forked run must be the
 // from-reset run: outcome, fault_applied and cycles.
 TEST_P(DefaultForkProperty, RunForksEveryRunAndMatchesRunFromReset) {
-  const DefaultForkCase& param = GetParam();
-  campaign::CampaignSpec spec;
-  spec.workload = param.workload;
-  spec.runs = 16;
-  spec.seed = 1;
-  spec.jobs = 2;
-  spec.hang_factor = 2.0;  // a hung run costs about two golden runs
-  spec.static_cfc = param.static_tables;
-  spec.static_ddt = param.static_tables;
-  spec.dme = param.dme;
+  const campaign::CampaignSpec spec = case_spec(GetParam());
   campaign::CampaignRunner runner;
   const campaign::CampaignReport reset = runner.run_from_reset(spec);
   EXPECT_EQ(runner.forked_runs(), 0u);
@@ -433,12 +456,99 @@ TEST_P(DefaultForkProperty, RunForksEveryRunAndMatchesRunFromReset) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Campaigns, DefaultForkProperty, ::testing::ValuesIn(default_fork_cases()),
-                         [](const ::testing::TestParamInfo<DefaultForkCase>& info) {
-                           std::string name = info.param.workload;
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           if (info.param.static_tables) name += "_static";
-                           if (info.param.dme) name += "_dme";
-                           return name;
-                         });
+                         case_name);
+
+std::vector<DefaultForkCase> fast_forward_fork_cases() {
+  std::vector<DefaultForkCase> cases = default_fork_cases();
+  cases.push_back({"loop", false, false, true});  // refinement runs fork
+  return cases;
+}
+
+std::array<u64, 9> counts_of(const campaign::FastForwardStats& s) {
+  return {s.fast,           s.fallback_target,  s.fallback_unmapped,
+          s.fallback_conflict, s.fallback_checked, s.fallback_syscall,
+          s.fallback_suspend,  s.fallback_illegal, s.fallback_other};
+}
+
+class FastForwardForkProperty : public ::testing::TestWithParam<DefaultForkCase> {};
+
+// Under --fast-forward, run() forks every run it offers a fast-engine prefix
+// but cannot fast-forward (a config fault, an unmapped cycle, an in-flight
+// conflict, an ICM-checked word, a fast-engine bail) from the latest chain
+// snapshot.  Each must be the run run_one_fast_forward starts from reset
+// with the same boundaries: outcome, fault_applied and cycles.  Every chain
+// starts at cycle 0, so every fallback forks.
+TEST_P(FastForwardForkProperty, ForkedFallbacksMatchFallbacksFromReset) {
+  const DefaultForkCase& param = GetParam();
+  campaign::CampaignSpec spec = case_spec(param);
+  spec.fast_forward = true;
+  campaign::CampaignRunner runner;
+  const campaign::CampaignReport reset = runner.run_from_reset(spec);
+  const campaign::CampaignReport report = runner.run(spec);
+  const campaign::FastForwardStats ff = runner.fast_forward_stats();
+  EXPECT_EQ(campaign::deterministic_digest(report), campaign::deterministic_digest(reset));
+  if (param.refine) {
+    EXPECT_GT(report.results.size(), spec.runs) << "no refinement run";
+  }
+
+  // run()'s inputs, rebuilt as run() builds them: the golden run with its
+  // DME baseline, the hang budget and the boundaries of the plan's eligible
+  // cycles.
+  const campaign::WorkloadSetup setup = campaign::CampaignRunner::setup_for(spec);
+  campaign::GoldenRun golden = *runner.cache().get(setup);
+  const Cycle budget =
+      static_cast<Cycle>(static_cast<double>(golden.cycles) * spec.hang_factor) + 20'000;
+  dme::CanonicalTrace trace;
+  if (spec.dme) {
+    const Cycle limit = std::min<Cycle>(setup.os.run_limit, budget);
+    campaign::WorkloadSetup setup_b = setup;
+    dme::make_variant(setup_b.machine, setup_b.os, spec.dme_seed_b);
+    campaign::BootedGuest variant_b(setup_b, golden.program, limit, golden.analysis);
+    trace = dme::record_trace(variant_b.guest, golden.program);
+    campaign::BootedGuest variant_a(setup, golden.program, limit, golden.analysis);
+    const dme::TraceChecker baseline = dme::check_trace(variant_a.guest, golden.program, trace);
+    golden.dme_divergences = baseline.divergences();
+    golden.dme_first_divergence = baseline.first_divergence();
+  }
+  if (golden.icm_mismatches != 0 || golden.cfc_violations != 0 || golden.selfcheck_trips != 0 ||
+      golden.os_recoveries != 0 || golden.ddt_footprint_violations != 0 ||
+      golden.dme_divergences != 0) {
+    // Detector activity in the fault-free run: no run is offered a fast
+    // prefix, and every run forks.
+    EXPECT_EQ(ff.fast + ff.fallbacks(), 0u);
+    EXPECT_EQ(runner.forked_runs(), report.results.size());
+    EXPECT_EQ(report.results, reset.results);
+    return;
+  }
+  const campaign::InjectionPlan plan = runner.plan_for(spec, golden, setup);
+  std::vector<Cycle> cycles;
+  for (u32 i = 0; i < spec.runs; ++i) {
+    const campaign::InjectionRecord record = plan.record(i);
+    if (record.target != campaign::InjectTarget::kConfigBit) cycles.push_back(record.inject_cycle);
+  }
+  campaign::BootedGuest boot(setup, golden.program, budget, golden.analysis);
+  const exec::FastForwardController::BoundaryMap boundaries =
+      exec::FastForwardController::map_boundaries(boot.guest, std::move(cycles));
+
+  campaign::CampaignRunner from_reset(&runner.cache());
+  for (const campaign::RunResult& got : report.results) {
+    const campaign::RunResult want = from_reset.run_one_fast_forward(
+        setup, golden, plan.record(got.record.run_index), budget, boundaries, nullptr,
+        spec.dme ? &trace : nullptr);
+    EXPECT_EQ(got.outcome, want.outcome) << "run " << got.record.run_index;
+    EXPECT_EQ(got.cycles, want.cycles) << "run " << got.record.run_index;
+    EXPECT_EQ(got, want) << "run " << got.record.run_index;
+  }
+  EXPECT_EQ(counts_of(ff), counts_of(from_reset.fast_forward_stats()));
+  EXPECT_EQ(from_reset.forked_runs(), 0u);
+  EXPECT_GT(ff.fallbacks(), 0u);
+  EXPECT_EQ(runner.forked_runs(), ff.fallbacks());
+  if (param.workload == "server") {
+    EXPECT_GT(ff.fallback_syscall, 0u) << "no fast-engine bail";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Campaigns, FastForwardForkProperty,
+                         ::testing::ValuesIn(fast_forward_fork_cases()), case_name);
 
 }  // namespace

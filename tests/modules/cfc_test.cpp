@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "../support/sim_runner.hpp"
+#include "common/serialize.hpp"
 #include "modules/cfc/cfc.hpp"
 #include "workloads/workloads.hpp"
 
@@ -106,6 +107,57 @@ TEST_F(CfcUnit, ForgetThreadResetsItsStream) {
   commit(0, 0x400000, "add t0, t1, t2");
   cfc.forget_thread(0);
   commit(0, 0x400900, "add t0, t1, t2");  // fresh stream: first commit unchecked
+  EXPECT_TRUE(violations.empty());
+}
+
+// The module remembers the entry of the thread that committed last.  The
+// three cases below must count exactly what a per-commit map lookup counts:
+// each thread's stream on its own, a forgotten (or reset) stream starting
+// over, and a restored stream continuing from the snapshot's last commit.
+TEST_F(CfcUnit, InterleavedThreadsKeepTheirOwnStreams) {
+  commit(0, 0x400000, "add t0, t1, t2");
+  commit(1, 0x400800, "add t0, t1, t2");
+  commit(0, 0x400004, "add t0, t1, t2");
+  commit(0, 0x400008, "add t0, t1, t2");
+  commit(1, 0x400804, "add t0, t1, t2");
+  commit(1, 0x400808, "add t0, t1, t2");
+  commit(0, 0x400100, "add t0, t1, t2");  // thread 0 teleports from 0x400008
+  EXPECT_EQ(cfc.stats().transitions_checked, 5u);
+  EXPECT_EQ(cfc.stats().violations, 1u);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].first, 0x400008u);
+}
+
+TEST_F(CfcUnit, ForgottenOrResetThreadStartsAFreshStream) {
+  commit(0, 0x400000, "add t0, t1, t2");
+  commit(0, 0x400004, "add t0, t1, t2");
+  cfc.forget_thread(0);
+  commit(0, 0x400900, "add t0, t1, t2");  // first commit of a new stream
+  commit(0, 0x400904, "add t0, t1, t2");
+  EXPECT_EQ(cfc.stats().transitions_checked, 2u);
+  EXPECT_EQ(cfc.stats().violations, 0u);
+  cfc.reset();
+  commit(0, 0x400200, "add t0, t1, t2");
+  commit(0, 0x400204, "add t0, t1, t2");
+  EXPECT_EQ(cfc.stats().transitions_checked, 1u);
+  EXPECT_EQ(cfc.stats().violations, 0u);
+}
+
+TEST_F(CfcUnit, RestoredStreamContinuesFromTheSnapshot) {
+  commit(0, 0x400000, "add t0, t1, t2");
+  commit(0, 0x400004, "add t0, t1, t2");
+  snap::Writer writer;
+  cfc.serialize_state(writer);
+  const std::vector<u8> image = writer.take();
+  commit(0, 0x400008, "add t0, t1, t2");
+  commit(0, 0x40000c, "add t0, t1, t2");
+  snap::Reader reader(image);
+  cfc.serialize_state(reader);
+  // Legal after the snapshot's 0x400004; after the live 0x40000c it would
+  // be a violation.
+  commit(0, 0x400008, "add t0, t1, t2");
+  EXPECT_EQ(cfc.stats().transitions_checked, 2u);
+  EXPECT_EQ(cfc.stats().violations, 0u);
   EXPECT_TRUE(violations.empty());
 }
 

@@ -24,7 +24,8 @@
 //     --fast-forward        run each eligible run's fault-free prefix through
 //                           the exec/ fast engine, then transplant into the
 //                           cycle-accurate core at the injection cycle,
-//                           instead of forking it (identical digest;
+//                           instead of forking it; a run the fast engine
+//                           cannot serve still forks (identical digest;
 //                           docs/execution.md)
 //     --snapshot-buckets n  snapshot-chain bucket count, 1..256          (8):
 //                           a run not fast-forwarded forks from the latest
@@ -218,8 +219,9 @@ int main(int argc, char** argv) {
       std::cout << campaign::summary_text(report);
       // How runs started: fallback accounting for runs offered a
       // fast-forward prefix (only under --fast-forward with a clean golden
-      // run), and the runs forked from a snapshot.  Observational only:
-      // outcomes and the digest never depend on it.
+      // run), and the runs forked from a snapshot, fast-forward fallbacks
+      // included.  Observational only: outcomes and the digest never
+      // depend on it.
       const campaign::FastForwardStats ff = runner.fast_forward_stats();
       if (ff.fast + ff.fallbacks() > 0) {
         std::cout << "fast-forward: " << ff.fast << " fast, " << ff.fallbacks()
